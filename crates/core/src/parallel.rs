@@ -15,41 +15,17 @@
 //!
 //! Parallelism defaults to **on** when the feature is compiled in; flip it
 //! at runtime with [`set_parallel`] (process-wide, e.g. for A/B
-//! benchmarking — see `bench_candidates`). The worker count follows the
-//! `RAYON_NUM_THREADS` environment variable, falling back to the number of
-//! available cores.
+//! benchmarking — see `bench_candidates`). There is one toggle for the
+//! whole system: [`set_parallel`] and [`parallel_enabled`] are
+//! `gecco_eventlog`'s, so one call switches ingestion and Steps 1–2
+//! together (this crate's `rayon` feature turns on `gecco-eventlog/rayon`).
+//! The worker count follows the `RAYON_NUM_THREADS` environment variable,
+//! falling back to the number of available cores.
 
 // gecco-lint: allow-file(unordered-par) — this module IS the order-preserving seam: work is
 // split into ordered chunks and reassembled in input order, proven bit-identical to serial
 // execution by tests/parallel_equivalence.rs
-#[cfg(feature = "rayon")]
-use std::sync::atomic::{AtomicBool, Ordering};
-
-#[cfg(feature = "rayon")]
-static PARALLEL: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables parallel execution process-wide.
-///
-/// Without the `rayon` feature this is a no-op and execution is always
-/// serial. Results are identical either way; only wall-clock time changes.
-pub fn set_parallel(enabled: bool) {
-    #[cfg(feature = "rayon")]
-    PARALLEL.store(enabled, Ordering::Relaxed);
-    #[cfg(not(feature = "rayon"))]
-    let _ = enabled;
-}
-
-/// Whether parallel execution is compiled in *and* currently enabled.
-pub fn parallel_enabled() -> bool {
-    #[cfg(feature = "rayon")]
-    {
-        PARALLEL.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "rayon"))]
-    {
-        false
-    }
-}
+pub use gecco_eventlog::{parallel_enabled, set_parallel};
 
 /// Whether a parallel fan-out would actually use more than one worker.
 /// Lets hot paths skip parallel-shaped work (chunking, per-worker state)
@@ -139,15 +115,5 @@ mod tests {
         let items: Vec<u32> = (0..100).collect();
         let out = par_map(&items, 1, |&x| x * 3);
         assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn toggle_round_trips() {
-        let initial = parallel_enabled();
-        set_parallel(false);
-        assert!(!parallel_enabled());
-        set_parallel(true);
-        assert_eq!(parallel_enabled(), cfg!(feature = "rayon"));
-        set_parallel(initial);
     }
 }

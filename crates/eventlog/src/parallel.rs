@@ -4,9 +4,10 @@
 //! and CSV importers — trace-chunk parsing and CSV row sniffing — fan out
 //! over all cores. Without the feature every function here degenerates to
 //! its serial form and [`set_parallel`] is a no-op, so callers never need
-//! `cfg` guards. This mirrors `gecco_core::parallel`, which owns the same
-//! toggle for the candidate-generation hot path; the two toggles are
-//! independent so benchmarks can A/B one stage at a time.
+//! `cfg` guards. This toggle is the only one in the system:
+//! `gecco_core::parallel` re-exports [`set_parallel`] and
+//! [`parallel_enabled`] and reads them for its own hot paths, so one call
+//! switches ingestion and the core pipeline together.
 //!
 //! Parallel ingestion is **bit-identical** to serial ingestion: chunks are
 //! parsed into fragments with thread-local interners and merged in document

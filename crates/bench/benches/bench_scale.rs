@@ -20,8 +20,6 @@
 //!   122,992); column generation solves the 32-class pool — 10.7× the
 //!   largest enumerated-handled pool — in 10.6 s (single samples; 76.8 s
 //!   on the rebuilt-per-round dense tableau master).
-//!   The group also sweeps the master phase on the 16-class instance:
-//!   `master/{dense,revised}`.
 //!
 //! `GECCO_SCALE=smoke` shrinks every size for CI (and skips the dense
 //! group); `GECCO_SCALE=deep` additionally runs the 40-class instance
@@ -32,8 +30,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use gecco_constraints::{CompiledConstraintSet, ConstraintSet};
 use gecco_core::candidates::exhaustive::exhaustive_candidates;
 use gecco_core::{
-    select_optimal, select_optimal_colgen, Budget, ColGenMode, DistanceOracle, MasterEngine,
-    SelectionOptions,
+    select_optimal, select_optimal_colgen, Budget, ColGenMode, DistanceOracle, SelectionOptions,
 };
 use gecco_datagen::{production_tree, simulate, write_xes_stream, SimulationOptions};
 use gecco_eventlog::{EvalContext, EventLog, LogIndex, Segmenter};
@@ -223,38 +220,6 @@ fn bench_scale_dense(c: &mut Criterion) {
             "pool= dense classes={classes} colgen_examined={} columns_emitted={} sketch_pruned={}",
             pricing.groups_examined, pricing.columns_emitted, pricing.sketch_pruned
         );
-    }
-    // Master-phase sweep: dense tableau versus warm-started revised
-    // simplex on the 16-class instance. (Both variants return
-    // bit-identical selections — the equivalence suites assert that — so
-    // this isolates the master solve cost; the 32-class dense master
-    // alone would dominate the whole bench run, hence the small instance.)
-    let (classes, len) = (16usize, 16usize);
-    let log = dense_log(classes, len);
-    let compiled = dense_compile(&log);
-    let index = LogIndex::build(&log);
-    let ctx = EvalContext::new(&log, &index);
-    let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
-    for (name, master) in
-        [("master/revised", MasterEngine::Revised), ("master/dense", MasterEngine::Dense)]
-    {
-        let options = SelectionOptions {
-            column_generation: ColGenMode::On,
-            colgen_master: master,
-            ..Default::default()
-        };
-        group.bench_with_input(BenchmarkId::new(name, classes), &log, |b, log| {
-            b.iter(|| {
-                select_optimal_colgen(
-                    log,
-                    &compiled,
-                    &oracle,
-                    compiled.group_count_bounds(),
-                    options,
-                )
-                .expect("feasible")
-            })
-        });
     }
     group.finish();
 }

@@ -1,5 +1,6 @@
-//! Step-2 selection ablation: the presolved/decomposed/parallel pipeline
-//! versus the seed single solve, on both engines.
+//! Step-2 selection ablation: the presolved/decomposed/parallel production
+//! route versus the un-presolved oracles (DLX and simplex
+//! branch-and-bound).
 //!
 //! Four instance shapes:
 //! * `fig7_pool` — a candidate pool at the scale of the paper's Fig. 7
@@ -14,13 +15,15 @@
 //!   DP: decomposition must stay within ~2× of the unbounded variant
 //!   even though component solutions can no longer be combined freely.
 //!
-//! Configs: `engine/{dlx,bnb} × presolve/{off,on}`, plus a `par` variant
-//! of the presolved runs when parallelism is compiled in (identical
-//! results, different wall-clock).
+//! Configs: `dlx_presolve/off` and `bnb_presolve/off` (the oracles
+//! [`SetPartitionProblem::solve`] and [`SetPartitionProblem::solve_bnb`]),
+//! `dlx_presolve/on` (the production route), plus its `on_par` variant
+//! when parallelism is compiled in (identical results, different
+//! wall-clock).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gecco_core::{parallel_enabled, set_parallel, solve_set_partition, SelectionOptions};
-use gecco_solver::{SetPartitionProblem, SolveEngine};
+use gecco_solver::SetPartitionProblem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,32 +99,23 @@ fn bench_selection(c: &mut Criterion) {
     for (name, problem) in instances {
         let mut group = c.benchmark_group(format!("selection_{name}"));
         group.sample_size(10);
-        for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
-            let tag = match engine {
-                SolveEngine::Dlx => "dlx",
-                SolveEngine::SimplexBnb => "bnb",
-            };
-            for presolve in [false, true] {
-                let options = SelectionOptions { engine, presolve, ..Default::default() };
-                let label = if presolve { "on" } else { "off" };
-                set_parallel(false);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{tag}_presolve"), label),
-                    &problem,
-                    |b, p| b.iter(|| solve_set_partition(p, options).expect("feasible")),
-                );
-            }
-            // Parallel component fan-out (bit-identical, different clock).
-            set_parallel(true);
-            if parallel_enabled() {
-                let options = SelectionOptions { engine, ..Default::default() };
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{tag}_presolve"), "on_par"),
-                    &problem,
-                    |b, p| b.iter(|| solve_set_partition(p, options).expect("feasible")),
-                );
-            }
-            set_parallel(true);
+        set_parallel(false);
+        group.bench_with_input(BenchmarkId::new("dlx_presolve", "off"), &problem, |b, p| {
+            b.iter(|| p.solve().expect("feasible"))
+        });
+        group.bench_with_input(BenchmarkId::new("bnb_presolve", "off"), &problem, |b, p| {
+            b.iter(|| p.solve_bnb().expect("feasible"))
+        });
+        let options = SelectionOptions::default();
+        group.bench_with_input(BenchmarkId::new("dlx_presolve", "on"), &problem, |b, p| {
+            b.iter(|| solve_set_partition(p, options).expect("feasible"))
+        });
+        // Parallel component fan-out (bit-identical, different clock).
+        set_parallel(true);
+        if parallel_enabled() {
+            group.bench_with_input(BenchmarkId::new("dlx_presolve", "on_par"), &problem, |b, p| {
+                b.iter(|| solve_set_partition(p, options).expect("feasible"))
+            });
         }
         group.finish();
     }

@@ -2,7 +2,7 @@
 //! synthetic weighted set-partitioning instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gecco_solver::{SetPartitionProblem, SolveEngine};
+use gecco_solver::SetPartitionProblem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,12 +32,12 @@ fn bench_solver(c: &mut Criterion) {
     for (n, extra) in [(12usize, 30usize), (20, 80)] {
         let p = instance(n, extra, 99);
         group.bench_with_input(BenchmarkId::new("dlx", format!("{n}x{extra}")), &p, |b, p| {
-            b.iter(|| p.solve(SolveEngine::Dlx).expect("feasible"))
+            b.iter(|| p.solve().expect("feasible"))
         });
         group.bench_with_input(
             BenchmarkId::new("simplex_bnb", format!("{n}x{extra}")),
             &p,
-            |b, p| b.iter(|| p.solve(SolveEngine::SimplexBnb).expect("feasible")),
+            |b, p| b.iter(|| p.solve_bnb().expect("feasible")),
         );
     }
     group.finish();

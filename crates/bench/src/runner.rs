@@ -87,9 +87,6 @@ pub struct RunConfig {
     pub budget: Budget,
     /// Step-2 node budget.
     pub selection_nodes: usize,
-    /// Step-2 presolve + component decomposition (on by default; off is
-    /// the seed single-solve path, kept for ablation).
-    pub presolve: bool,
 }
 
 impl Default for RunConfig {
@@ -98,7 +95,6 @@ impl Default for RunConfig {
             strategy: CandidateStrategy::Exhaustive,
             budget: Budget::max_checks(10_000),
             selection_nodes: 2_000_000,
-            presolve: true,
         }
     }
 }
@@ -133,11 +129,7 @@ pub fn run_gecco_shared(
         .constraints(constraints)
         .candidates(config.strategy)
         .budget(config.budget)
-        .selection(SelectionOptions {
-            max_nodes: config.selection_nodes,
-            presolve: config.presolve,
-            ..Default::default()
-        })
+        .selection(SelectionOptions { max_nodes: config.selection_nodes, ..Default::default() })
         .with_index(&session.index)
         .instance_cache(&session.cache)
         .run()

@@ -35,7 +35,6 @@ pub use abstraction::AbstractionStrategy;
 pub use candidates::session::{SessionBoundary, SessionConfig};
 pub use candidates::{BeamWidth, Budget, CandidateSet, CandidateStats, CandidateStrategy};
 pub use distance::{group_distance, group_distance_scan, grouping_distance, DistanceOracle};
-pub use gecco_solver::MasterEngine;
 pub use grouping::Grouping;
 pub use parallel::{parallel_enabled, set_parallel};
 pub use pipeline::{

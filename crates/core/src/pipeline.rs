@@ -320,7 +320,7 @@ impl<'a> Gecco<'a> {
 
         // Step 1: candidate computation.
         // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
-        // reported in PipelineStats and never folds into results
+        // reported in `Timings` (`AbstractionResult::timings`) and never folds into results
         let t0 = Instant::now();
         let mut candidates: CandidateSet = match self.strategy {
             CandidateStrategy::Exhaustive => exhaustive_candidates(&ctx, &compiled, self.budget),
@@ -340,7 +340,7 @@ impl<'a> Gecco<'a> {
         // candidates lazily out of the implicit pool instead of using the
         // Step-1 enumeration (which then only serves diagnostics).
         // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
-        // reported in PipelineStats and never folds into results
+        // reported in `Timings` (`AbstractionResult::timings`) and never folds into results
         let t1 = Instant::now();
         let oracle = DistanceOracle::new(&ctx, self.segmenter);
         let selected = if use_column_generation(&self.selection, self.log, index) {
@@ -381,7 +381,7 @@ impl<'a> Gecco<'a> {
         // Step 3: abstraction. The trace rewrite splices the new log's
         // index as it goes, so the result carries both.
         // gecco-lint: allow(ambient-nondet) — stage timing for diagnostics only; it is
-        // reported in PipelineStats and never folds into results
+        // reported in `Timings` (`AbstractionResult::timings`) and never folds into results
         let t2 = Instant::now();
         let names = activity_names(self.log, &selection.grouping, self.label_attribute.as_deref());
         let (abstracted, abstracted_index) =

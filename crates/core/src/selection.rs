@@ -5,15 +5,16 @@
 //! every occurring event class exactly once, optionally bounding the number
 //! of selected groups.
 //!
-//! By default the solve routes through [`mod@gecco_solver::presolve`]:
-//! duplicate candidates collapse, classes covered by a single candidate
-//! are fixed, dominated candidates disappear, and the residual
-//! candidate/class graph decomposes into connected components that solve
-//! independently — in parallel under the `rayon` feature, with results
-//! bit-identical to the serial order (components assemble in a fixed
-//! order and the final distance is recomputed canonically). The
-//! un-presolved single solve stays available (`presolve: false`) as the
-//! oracle for differential tests.
+//! The enumerated route has one solve path, through
+//! [`mod@gecco_solver::presolve`]: duplicate candidates collapse, classes
+//! covered by a single candidate are fixed, dominated candidates
+//! disappear, and the residual candidate/class graph decomposes into
+//! connected components that DLX solves independently — in parallel under
+//! the `rayon` feature, with results bit-identical to the serial order
+//! (components assemble in a fixed order and the final distance is
+//! recomputed canonically). Tests compare it against the un-presolved
+//! [`SetPartitionProblem::solve`] and [`SetPartitionProblem::solve_bnb`]
+//! oracles.
 
 use crate::distance::DistanceOracle;
 use crate::grouping::{occurring_classes, Grouping};
@@ -22,8 +23,7 @@ use gecco_constraints::{CheckingMode, CompiledConstraintSet};
 use gecco_eventlog::{ClassCoOccurrence, ClassId, ClassSet, EventLog};
 use gecco_solver::{
     presolve, solve_column_generation, ColGenOptions, ColGenStats, ColumnSource, DualPrices,
-    MasterEngine, PresolveOptions, PresolveOutcome, PresolveStats, PricingRequest,
-    SetPartitionProblem, SetPartitionSolution, SolveEngine,
+    PresolveOutcome, PresolveStats, PricingRequest, SetPartitionProblem, SetPartitionSolution,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -50,15 +50,10 @@ pub enum ColGenMode {
 /// Options for the selection step.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectionOptions {
-    /// Which solver backend to use.
-    pub engine: SolveEngine,
-    /// Search budget (0 = backend default). With presolve on, the budget
-    /// applies to each independent component rather than globally.
+    /// DLX search budget in nodes (0 = the default of 5 million). It
+    /// applies to each independent component, and to each cardinality
+    /// frontier task, rather than globally.
     pub max_nodes: usize,
-    /// Route through presolve + component decomposition (the default).
-    /// `false` is the seed single-solve path, kept as the oracle for
-    /// differential tests and ablation benchmarks.
-    pub presolve: bool,
     /// Solve Step 2 by column generation over the *implicit* candidate
     /// pool instead of enumerating it first ([`select_optimal_colgen`]):
     /// candidate groups are generated on demand by a pricing search driven
@@ -69,21 +64,14 @@ pub struct SelectionOptions {
     /// clique estimate reaches this many groups, the run switches to
     /// column generation. `0` makes `Auto` behave like `On`.
     pub auto_colgen_budget: usize,
-    /// Master LP engine for the column-generation route (default: the
-    /// incremental revised simplex; the dense tableau rebuild is the
-    /// differential oracle).
-    pub colgen_master: MasterEngine,
 }
 
 impl Default for SelectionOptions {
     fn default() -> Self {
         SelectionOptions {
-            engine: SolveEngine::default(),
             max_nodes: 0,
-            presolve: true,
             column_generation: ColGenMode::default(),
             auto_colgen_budget: 50_000,
-            colgen_master: MasterEngine::default(),
         }
     }
 }
@@ -110,12 +98,10 @@ pub fn use_column_generation(
     }
 }
 
-/// Solves a raw weighted set-partitioning instance through the configured
-/// route: either the direct single solve (`presolve: false`), or presolve
-/// → connected-component decomposition → per-component engines, fanning
-/// the components out in parallel under the `rayon` feature. Component
-/// order is fixed, so parallel and serial runs assemble bit-identical
-/// solutions.
+/// Solves a raw weighted set-partitioning instance: presolve →
+/// connected-component decomposition → DLX per component, fanning the
+/// components out in parallel under the `rayon` feature. Component order
+/// is fixed, so parallel and serial runs assemble bit-identical solutions.
 pub fn solve_set_partition(
     problem: &SetPartitionProblem,
     options: SelectionOptions,
@@ -125,7 +111,7 @@ pub fn solve_set_partition(
 
 /// [`solve_set_partition`] plus the presolve statistics of the run —
 /// what was fixed, removed, and how (or why not) the residual decomposed.
-/// `None` stats on the un-presolved route.
+/// `None` stats when presolve proves the instance infeasible.
 pub fn solve_set_partition_stats(
     problem: &SetPartitionProblem,
     options: SelectionOptions,
@@ -138,10 +124,7 @@ pub fn solve_set_partition_stats(
     } else {
         problem
     };
-    if !options.presolve {
-        return (problem.solve(options.engine), None);
-    }
-    match presolve(problem, &PresolveOptions::default()) {
+    match presolve(problem) {
         PresolveOutcome::Infeasible => (None, None),
         PresolveOutcome::Solved(solution, stats) => (Some(solution), Some(stats)),
         PresolveOutcome::Reduced(reduced) => {
@@ -152,13 +135,11 @@ pub fn solve_set_partition_stats(
                 // independent, so still parallel) and let the frontier DP
                 // pick the cheapest admissible split.
                 let tasks = reduced.frontier_tasks();
-                let outcomes = par_map(&tasks, 2, |&(idx, k)| {
-                    reduced.solve_frontier_task(idx, k, options.engine)
-                });
+                let outcomes = par_map(&tasks, 2, |&(idx, k)| reduced.solve_frontier_task(idx, k));
                 return (reduced.assemble_frontier(outcomes), Some(stats));
             }
             let ids: Vec<usize> = (0..reduced.components().len()).collect();
-            let solutions = par_map(&ids, 2, |&i| reduced.solve_component(i, options.engine));
+            let solutions = par_map(&ids, 2, |&i| reduced.solve_component(i));
             (reduced.assemble(solutions), Some(stats))
         }
     }
@@ -176,7 +157,7 @@ pub struct Selection {
     pub proven_optimal: bool,
     /// Presolve statistics of the enumerated route — including *why* (or
     /// why not) the residual instance decomposed. `None` on the
-    /// un-presolved seed route and on the column-generation route.
+    /// column-generation route and for an empty log.
     pub presolve: Option<PresolveStats>,
     /// Column-generation counters when the lazy route solved the instance.
     pub colgen: Option<ColGenStats>,
@@ -256,8 +237,8 @@ fn trivial_selection() -> Selection {
 /// sorted by their [`ClassSet`] order and the costs summed in that order.
 /// The groups of an exact cover are pairwise distinct, so the order — and
 /// with it the floating-point sum — is unique for a given selection:
-/// every route (enumerated or column generation, presolved or not, serial
-/// or parallel) reports bit-identical totals for the same selection.
+/// every route (enumerated or column generation, serial or parallel, and
+/// the test oracles) reports bit-identical totals for the same selection.
 fn canonicalize(log: &EventLog, mut chosen: Vec<(ClassSet, f64)>) -> (Grouping, f64) {
     chosen.sort_by_key(|entry| entry.0);
     let distance = chosen.iter().map(|(_, cost)| *cost).sum();
@@ -504,12 +485,7 @@ pub fn select_optimal_colgen(
     }
     let classes: Vec<ClassId> = universe.iter().collect();
     let mut source = CandidateColumnSource::new(&classes, constraints, oracle);
-    let colgen_options = ColGenOptions {
-        engine: options.engine,
-        max_nodes: options.max_nodes,
-        master: options.colgen_master,
-        ..ColGenOptions::default()
-    };
+    let colgen_options = ColGenOptions { max_nodes: options.max_nodes, ..ColGenOptions::default() };
     // No warm start: initial columns would have to be checked candidates,
     // and finding one is the pricer's job — the big-M artificial bootstrap
     // prices useful columns in on the first round.
@@ -607,61 +583,36 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_agree() {
-        let log = running_example();
-        let index = gecco_eventlog::LogIndex::build(&log);
-        let ctx = gecco_eventlog::EvalContext::new(&log, &index);
-        let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
-        let candidates = figure7_candidates(&log);
-        let dlx = select_optimal(
-            &log,
-            &candidates,
-            &oracle,
-            (None, None),
-            SelectionOptions { engine: SolveEngine::Dlx, ..Default::default() },
-        )
-        .unwrap();
-        let bnb = select_optimal(
-            &log,
-            &candidates,
-            &oracle,
-            (None, None),
-            SelectionOptions { engine: SolveEngine::SimplexBnb, ..Default::default() },
-        )
-        .unwrap();
-        assert!((dlx.distance - bnb.distance).abs() < 1e-9);
-    }
-
-    #[test]
     fn figure7_presolved_routes_match_the_seed_solve() {
-        // The Fig. 7 optimum is unique, so every route — presolved or
-        // not, either engine — must return the *same* Selection, bit for
-        // bit: same grouping, same distance, same optimality proof.
+        // The Fig. 7 optimum is unique, so the production route and both
+        // un-presolved oracles (DLX and simplex branch-and-bound) must
+        // return the *same* Selection, bit for bit: same grouping, same
+        // canonical distance.
         let log = running_example();
         let index = gecco_eventlog::LogIndex::build(&log);
         let ctx = gecco_eventlog::EvalContext::new(&log, &index);
         let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
         let candidates = figure7_candidates(&log);
-        let seed = select_optimal(
-            &log,
-            &candidates,
-            &oracle,
-            (None, None),
-            SelectionOptions { presolve: false, ..Default::default() },
-        )
-        .unwrap();
-        for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
-            let routed = select_optimal(
-                &log,
-                &candidates,
-                &oracle,
-                (None, None),
-                SelectionOptions { engine, presolve: true, ..Default::default() },
-            )
-            .unwrap();
-            assert_eq!(routed.grouping, seed.grouping, "{engine:?}");
-            assert_eq!(routed.distance.to_bits(), seed.distance.to_bits(), "{engine:?}");
-            assert!(routed.proven_optimal);
+        let routed =
+            select_optimal(&log, &candidates, &oracle, (None, None), SelectionOptions::default())
+                .unwrap();
+        assert!(routed.proven_optimal);
+        let classes: Vec<ClassId> = occurring_classes(&log).iter().collect();
+        let mut problem = SetPartitionProblem::new(classes.len());
+        for group in &candidates {
+            let members = group.iter().map(|c| classes.binary_search(&c).unwrap()).collect();
+            let cost = oracle.distance(group);
+            assert!(cost.is_finite());
+            problem.add_set(members, cost);
+        }
+        for (engine, solution) in [("dlx", problem.solve()), ("bnb", problem.solve_bnb())] {
+            let solution = solution.unwrap();
+            assert!(solution.proven_optimal, "{engine}");
+            let chosen =
+                solution.selected.iter().map(|&i| (candidates[i], problem.sets[i].1)).collect();
+            let (grouping, distance) = canonicalize(&log, chosen);
+            assert_eq!(routed.grouping, grouping, "{engine}");
+            assert_eq!(routed.distance.to_bits(), distance.to_bits(), "{engine}");
         }
     }
 
@@ -825,36 +776,6 @@ mod tests {
         assert!(use_column_generation(&tight, &log, &index));
         let zero = SelectionOptions { auto_colgen_budget: 0, ..auto };
         assert!(use_column_generation(&zero, &log, &index), "budget 0 behaves like On");
-    }
-
-    #[test]
-    fn colgen_master_engines_return_identical_selections() {
-        // The dense tableau oracle and the revised master must produce the
-        // *same* Selection, bit for bit.
-        let log = running_example();
-        let index = gecco_eventlog::LogIndex::build(&log);
-        let ctx = gecco_eventlog::EvalContext::new(&log, &index);
-        let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
-        for dsl in ["", "size(g) <= 3;"] {
-            let compiled = compile(&log, dsl);
-            let mut selections = Vec::new();
-            for colgen_master in [MasterEngine::Revised, MasterEngine::Dense] {
-                let options = SelectionOptions { colgen_master, ..Default::default() };
-                let sel = select_optimal_colgen(&log, &compiled, &oracle, (None, None), options)
-                    .expect("feasible");
-                assert!(sel.proven_optimal, "{colgen_master:?}");
-                selections.push((format!("{colgen_master:?}"), sel));
-            }
-            let (ref base_label, ref base) = selections[0];
-            for (label, sel) in &selections[1..] {
-                assert_eq!(sel.grouping, base.grouping, "{label} vs {base_label} ({dsl:?})");
-                assert_eq!(
-                    sel.distance.to_bits(),
-                    base.distance.to_bits(),
-                    "{label} vs {base_label} ({dsl:?})"
-                );
-            }
-        }
     }
 
     #[test]

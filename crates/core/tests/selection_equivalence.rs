@@ -1,6 +1,6 @@
 //! Differential cross-validation of the Step-2 selection routes: the
-//! un-presolved single solve (the seed path, kept as the oracle) versus
-//! the presolved → decomposed → per-component pipeline, on both engines,
+//! un-presolved DLX and simplex branch-and-bound solves (the oracles)
+//! versus the production presolved → decomposed → per-component pipeline,
 //! serial and parallel.
 //!
 //! Random instances vary density, inject duplicate sets, toggle
@@ -18,13 +18,13 @@
 use gecco_constraints::{CompiledConstraintSet, ConstraintSet};
 use gecco_core::candidates::exhaustive::exhaustive_candidates;
 use gecco_core::{
-    select_optimal, select_optimal_colgen, set_parallel, solve_set_partition, Budget,
-    DistanceOracle, MasterEngine, SelectionOptions,
+    select_optimal, select_optimal_colgen, set_parallel, solve_set_partition,
+    solve_set_partition_stats, Budget, DistanceOracle, SelectionOptions,
 };
 use gecco_eventlog::{
     ClassCoOccurrence, ClassSet, EvalContext, EventLog, LogBuilder, LogIndex, Segmenter,
 };
-use gecco_solver::{SetPartitionProblem, SetPartitionSolution, SolveEngine};
+use gecco_solver::{DecompositionStatus, SetPartitionProblem, SetPartitionSolution};
 use proptest::prelude::*;
 
 fn force_threads() {
@@ -103,23 +103,18 @@ fn assert_valid(p: &SetPartitionProblem, s: &SetPartitionSolution) {
     assert!((s.cost - recomputed).abs() < 1e-9, "cost does not match selection");
 }
 
-fn options(engine: SolveEngine, presolve: bool) -> SelectionOptions {
-    SelectionOptions { engine, presolve, ..Default::default() }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// DLX == SimplexBnb == presolved-DLX == presolved-SimplexBnb, in
-    /// feasibility and (when feasible) in cost, with every presolved
-    /// solution a valid exact cover and a proven optimum.
+    /// DLX == SimplexBnb == presolved, in feasibility and (when
+    /// feasible) in cost, with every solution a valid exact cover and a
+    /// proven optimum.
     #[test]
     fn all_selection_routes_agree(p in arb_problem()) {
-        let oracle = p.solve(SolveEngine::Dlx);
+        let oracle = p.solve();
         let routes = [
-            ("bnb", p.solve(SolveEngine::SimplexBnb)),
-            ("presolved-dlx", solve_set_partition(&p, options(SolveEngine::Dlx, true))),
-            ("presolved-bnb", solve_set_partition(&p, options(SolveEngine::SimplexBnb, true))),
+            ("bnb", p.solve_bnb()),
+            ("presolved", solve_set_partition(&p, SelectionOptions::default())),
         ];
         for (name, solution) in routes {
             match (&oracle, &solution) {
@@ -143,23 +138,19 @@ proptest! {
     /// fan-out is bit-identical to the serial order.
     #[test]
     fn presolved_route_is_deterministic_and_parallel_equivalent(p in arb_problem()) {
-        for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
-            let opts = options(engine, true);
-            let (serial, parallel) = both(|| solve_set_partition(&p, opts));
-            let rerun = solve_set_partition(&p, opts);
-            for (name, other) in [("parallel", &parallel), ("rerun", &rerun)] {
-                match (&serial, other) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(&a.selected, &b.selected, "{} selection", name);
-                        prop_assert_eq!(
-                            a.cost.to_bits(), b.cost.to_bits(), "{} cost bits", name
-                        );
-                        prop_assert_eq!(a.proven_optimal, b.proven_optimal);
-                    }
-                    _ => prop_assert!(false, "{} feasibility flip: {:?} vs {:?}",
-                        name, other, &serial),
+        let opts = SelectionOptions::default();
+        let (serial, parallel) = both(|| solve_set_partition(&p, opts));
+        let rerun = solve_set_partition(&p, opts);
+        for (name, other) in [("parallel", &parallel), ("rerun", &rerun)] {
+            match (&serial, other) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    prop_assert_eq!(&a.selected, &b.selected, "{} selection", name);
+                    prop_assert_eq!(a.cost.to_bits(), b.cost.to_bits(), "{} cost bits", name);
+                    prop_assert_eq!(a.proven_optimal, b.proven_optimal);
                 }
+                _ => prop_assert!(false, "{} feasibility flip: {:?} vs {:?}",
+                    name, other, &serial),
             }
         }
     }
@@ -201,9 +192,9 @@ proptest! {
 
     /// Column generation over the implicit pool versus the enumerated
     /// presolved route over Algorithm 1's pool — the same candidate space
-    /// solved two ways, on both engines. Feasibility must agree, costs
-    /// must match, and when the optimum is unique (same grouping) the
-    /// canonical distances are bit-identical.
+    /// solved two ways. Feasibility must agree, costs must match, and when
+    /// the optimum is unique (same grouping) the canonical distances are
+    /// bit-identical.
     #[test]
     fn colgen_matches_the_enumerated_oracle(instance in arb_selection_instance()) {
         let (log, min, max, sized) = instance;
@@ -212,81 +203,30 @@ proptest! {
         let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
         let compiled = compile(&log, sized);
         let pool = exhaustive_candidates(&ctx, &compiled, Budget::UNLIMITED);
-        for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
-            let opts = SelectionOptions { engine, ..Default::default() };
-            let enumerated =
-                select_optimal(&log, pool.groups(), &oracle, (min, max), opts);
-            let lazy = select_optimal_colgen(&log, &compiled, &oracle, (min, max), opts);
-            match (&enumerated, &lazy) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    prop_assert!(
-                        (a.distance - b.distance).abs() < 1e-9,
-                        "{engine:?}: {} vs {}", b.distance, a.distance
-                    );
-                    prop_assert!(a.proven_optimal && b.proven_optimal, "{engine:?}");
-                    prop_assert!(b.grouping.is_exact_cover(&log), "{engine:?}");
-                    if let Some(lo) = min {
-                        prop_assert!(b.grouping.len() >= lo as usize);
-                    }
-                    if let Some(hi) = max {
-                        prop_assert!(b.grouping.len() <= hi as usize);
-                    }
-                    if a.grouping == b.grouping {
-                        prop_assert_eq!(
-                            a.distance.to_bits(), b.distance.to_bits(),
-                            "{:?}: same selection, different bits", engine
-                        );
-                    }
+        let opts = SelectionOptions::default();
+        let enumerated = select_optimal(&log, pool.groups(), &oracle, (min, max), opts);
+        let lazy = select_optimal_colgen(&log, &compiled, &oracle, (min, max), opts);
+        match (&enumerated, &lazy) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                prop_assert!((a.distance - b.distance).abs() < 1e-9, "{} vs {}", b.distance, a.distance);
+                prop_assert!(a.proven_optimal && b.proven_optimal);
+                prop_assert!(b.grouping.is_exact_cover(&log));
+                if let Some(lo) = min {
+                    prop_assert!(b.grouping.len() >= lo as usize);
                 }
-                _ => prop_assert!(
-                    false,
-                    "{engine:?} disagrees on feasibility: lazy {lazy:?} vs enumerated {enumerated:?}"
-                ),
-            }
-        }
-    }
-
-    /// The warm-started revised-simplex master against the dense tableau
-    /// oracle, end to end: both master routes must return the *same*
-    /// `Selection` — same grouping, same canonical distance, bit for bit.
-    /// Pricing trajectories and restricted pools may differ, but the
-    /// implicit pool and its optimum do not.
-    #[test]
-    fn colgen_master_routes_return_identical_selections(instance in arb_selection_instance()) {
-        let (log, min, max, sized) = instance;
-        let index = LogIndex::build(&log);
-        let ctx = EvalContext::new(&log, &index);
-        let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
-        let compiled = compile(&log, sized);
-        let mut runs: Vec<(String, Option<gecco_core::Selection>)> = Vec::new();
-        for colgen_master in [MasterEngine::Revised, MasterEngine::Dense] {
-            let opts = SelectionOptions { colgen_master, ..Default::default() };
-            let sel = select_optimal_colgen(&log, &compiled, &oracle, (min, max), opts);
-            runs.push((format!("{colgen_master:?}"), sel));
-        }
-        let (base_label, base) = &runs[0];
-        for (label, sel) in &runs[1..] {
-            match (base, sel) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    prop_assert!(
-                        (a.distance - b.distance).abs() < 1e-9,
-                        "{} vs {}: {} vs {}", label, base_label, b.distance, a.distance
-                    );
-                    prop_assert!(b.proven_optimal, "{}", label);
-                    prop_assert!(b.grouping.is_exact_cover(&log), "{}", label);
-                    if a.grouping == b.grouping {
-                        prop_assert_eq!(
-                            a.distance.to_bits(), b.distance.to_bits(),
-                            "{}: same grouping, different bits", label
-                        );
-                    }
+                if let Some(hi) = max {
+                    prop_assert!(b.grouping.len() <= hi as usize);
                 }
-                _ => prop_assert!(
-                    false, "{} vs {}: feasibility flip", label, base_label
-                ),
+                if a.grouping == b.grouping {
+                    prop_assert_eq!(
+                        a.distance.to_bits(), b.distance.to_bits(), "same selection, different bits"
+                    );
+                }
             }
+            _ => prop_assert!(
+                false, "feasibility disagreement: lazy {lazy:?} vs enumerated {enumerated:?}"
+            ),
         }
     }
 
@@ -372,74 +312,63 @@ fn multi_component_instance_identical_across_routes() {
             p.add_set(vec![base + e], 0.9 + 0.01 * e as f64 + jitter);
         }
     }
-    let oracle = p.solve(SolveEngine::Dlx).unwrap();
-    assert!(oracle.proven_optimal);
-    let (serial, parallel) = both(|| {
-        [SolveEngine::Dlx, SolveEngine::SimplexBnb]
-            .map(|engine| solve_set_partition(&p, options(engine, true)).unwrap())
-    });
-    for routed in serial.iter().chain(parallel.iter()) {
-        assert_eq!(routed.selected, oracle.selected);
-        assert!((routed.cost - oracle.cost).abs() < 1e-9);
-        assert!(routed.proven_optimal);
+    let (serial, parallel) = both(|| solve_set_partition(&p, SelectionOptions::default()).unwrap());
+    for oracle in [p.solve().unwrap(), p.solve_bnb().unwrap()] {
+        assert!(oracle.proven_optimal);
+        for routed in [&serial, &parallel] {
+            assert_eq!(routed.selected, oracle.selected);
+            assert!((routed.cost - oracle.cost).abs() < 1e-9);
+            assert!(routed.proven_optimal);
+        }
     }
-    // The two presolved runs are bit-identical to each other.
-    for (s, p2) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(s.selected, p2.selected);
-        assert_eq!(s.cost.to_bits(), p2.cost.to_bits());
-    }
+    // The serial and parallel presolved runs are bit-identical.
+    assert_eq!(serial.selected, parallel.selected);
+    assert_eq!(serial.cost.to_bits(), parallel.cost.to_bits());
 }
 
-/// Node-budget degradation end to end: with a tiny per-component budget
-/// the presolved route still returns a feasible (unproven) cover when
-/// the engines find an incumbent — on both engines, matching the
-/// engine-consistency fix (`BnbResult::Feasible`).
+/// Node-budget degradation end to end: with a tiny per-component (or
+/// per-frontier-task) budget the presolved route still returns a feasible,
+/// unproven cover when DLX finds an incumbent. Two inputs: two odd 3-cycle
+/// blocks solved independently, and the same blocks under `min_sets`,
+/// which couples them through the cardinality frontier DP — its
+/// `FrontierOutcome::Exhausted` path carries the unproven incumbents.
 #[test]
 fn budget_exhaustion_degrades_gracefully() {
     // Two odd 3-cycle blocks (fractional relaxations, no singleton
     // shortcut for DLX's first dive) + enough extra sets to keep the
     // search from finishing instantly.
-    let mut p = SetPartitionProblem::new(6);
+    let mut free = SetPartitionProblem::new(6);
     for block in 0..2usize {
         let base = 3 * block;
         for (a, b) in [(0, 1), (1, 2), (0, 2)] {
-            p.add_set(vec![base + a, base + b], 1.0);
+            free.add_set(vec![base + a, base + b], 1.0);
         }
         for e in 0..3 {
-            p.add_set(vec![base + e], 0.55 + 0.01 * (base + e) as f64);
+            free.add_set(vec![base + e], 0.55 + 0.01 * (base + e) as f64);
         }
     }
-    let optimum = solve_set_partition(&p, options(SolveEngine::Dlx, true)).unwrap();
-    assert!(optimum.proven_optimal);
-    for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
+    let coupled = SetPartitionProblem { min_sets: Some(3), ..free.clone() };
+    for (name, p, route) in [
+        ("free", &free, DecompositionStatus::Decomposed),
+        ("coupled", &coupled, DecompositionStatus::CoupledDp),
+    ] {
+        let (optimum, stats) = solve_set_partition_stats(p, SelectionOptions::default());
+        assert_eq!(stats.unwrap().decomposition, route, "{name}");
+        let optimum = optimum.unwrap();
+        assert!(optimum.proven_optimal, "{name}");
         let mut saw_unproven = false;
         for budget in 1..=500 {
-            let opts = SelectionOptions {
-                engine,
-                max_nodes: budget,
-                presolve: true,
-                ..Default::default()
-            };
-            match solve_set_partition(&p, opts) {
-                None => continue,
-                Some(s) => {
-                    if !s.proven_optimal {
-                        let mut covered = vec![0u8; p.num_elements];
-                        for &i in &s.selected {
-                            for &m in &p.sets[i].0 {
-                                covered[m] += 1;
-                            }
-                        }
-                        assert!(covered.iter().all(|&c| c == 1), "{engine:?}");
-                        assert!(s.cost >= optimum.cost - 1e-9);
-                        saw_unproven = true;
-                        break;
-                    }
-                    assert!((s.cost - optimum.cost).abs() < 1e-9, "{engine:?}");
-                    break;
-                }
+            let opts = SelectionOptions { max_nodes: budget, ..Default::default() };
+            let Some(s) = solve_set_partition(p, opts) else { continue };
+            if s.proven_optimal {
+                assert!((s.cost - optimum.cost).abs() < 1e-9, "{name}");
+                break;
             }
+            assert_valid(p, &s);
+            assert!(s.cost >= optimum.cost - 1e-9, "{name}");
+            saw_unproven = true;
+            break;
         }
-        assert!(saw_unproven, "{engine:?}: no budget exhausted with an incumbent");
+        assert!(saw_unproven, "{name}: no budget exhausted with an incumbent");
     }
 }

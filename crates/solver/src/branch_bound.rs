@@ -17,20 +17,11 @@ pub struct BnbOptions {
     pub max_nodes: usize,
     /// Integrality tolerance.
     pub tolerance: f64,
-    /// Warm-start incumbent `(values, objective)`: a 0/1 assignment the
-    /// caller guarantees feasible, with `objective = c'values`. Seeds the
-    /// incumbent so the search prunes from the first node instead of
-    /// searching cold; returned unchanged if nothing better is found.
-    pub incumbent: Option<(Vec<f64>, f64)>,
-    /// External admissible lower bound on the optimum (e.g. an LP
-    /// relaxation solved by the caller). Once the incumbent reaches it the
-    /// search stops with a proven optimum.
-    pub lower_bound: Option<f64>,
 }
 
 impl Default for BnbOptions {
     fn default() -> Self {
-        BnbOptions { max_nodes: 200_000, tolerance: 1e-6, incumbent: None, lower_bound: None }
+        BnbOptions { max_nodes: 200_000, tolerance: 1e-6 }
     }
 }
 
@@ -63,29 +54,23 @@ struct Search {
     nodes: usize,
     max_nodes: usize,
     tolerance: f64,
-    lower_bound: Option<f64>,
     exhausted: bool,
-    /// The incumbent reached the external lower bound: optimal, stop.
-    proved: bool,
 }
 
 /// Solves `min c'x`, `Ax {≤,≥,=} b`, `x ∈ {0,1}ⁿ`.
 pub fn solve_binary_program(model: &Model, options: BnbOptions) -> BnbResult {
     let mut search = Search {
-        best: options.incumbent.clone(),
+        best: None,
         nodes: 0,
         max_nodes: options.max_nodes,
         tolerance: options.tolerance,
-        lower_bound: options.lower_bound,
         exhausted: false,
-        proved: false,
     };
-    search.check_bound_proved();
     let mut fixed: Vec<Option<bool>> = vec![None; model.num_vars()];
     search.recurse(model, &mut fixed);
     match search.best {
         Some((values, objective)) => {
-            if search.exhausted && !search.proved {
+            if search.exhausted {
                 BnbResult::Feasible { values, objective }
             } else {
                 BnbResult::Optimal { values, objective }
@@ -102,18 +87,8 @@ pub fn solve_binary_program(model: &Model, options: BnbOptions) -> BnbResult {
 }
 
 impl Search {
-    /// Stops the search once the incumbent matches the external lower
-    /// bound: no strictly better assignment can exist.
-    fn check_bound_proved(&mut self) {
-        if let (Some((_, best)), Some(lb)) = (&self.best, self.lower_bound) {
-            if *best <= lb + 1e-9 {
-                self.proved = true;
-            }
-        }
-    }
-
     fn recurse(&mut self, model: &Model, fixed: &mut Vec<Option<bool>>) {
-        if self.exhausted || self.proved {
+        if self.exhausted {
             return;
         }
         self.nodes += 1;
@@ -157,7 +132,6 @@ impl Search {
                     let obj = model.objective(&values);
                     if self.best.as_ref().is_none_or(|(_, b)| obj < *b - 1e-12) {
                         self.best = Some((values, obj));
-                        self.check_bound_proved();
                     }
                 }
             }
@@ -316,45 +290,6 @@ mod tests {
             }
         }
         assert!(saw_feasible, "some budget must exhaust with an incumbent");
-    }
-
-    #[test]
-    fn warm_start_and_lower_bound_prove_without_search() {
-        // Seed the search with the known optimum and a matching lower
-        // bound: it must return immediately, proven optimal.
-        let mut m = Model::new();
-        let a = m.add_var(1.0);
-        let b = m.add_var(2.0);
-        m.add_constraint(vec![(a, 1.0), (b, 1.0)], Sense::Eq, 1.0);
-        let r = solve_binary_program(
-            &m,
-            BnbOptions {
-                incumbent: Some((vec![1.0, 0.0], 1.0)),
-                lower_bound: Some(1.0),
-                ..Default::default()
-            },
-        );
-        assert_eq!(r, BnbResult::Optimal { values: vec![1.0, 0.0], objective: 1.0 });
-    }
-
-    #[test]
-    fn warm_start_is_replaced_by_a_better_solution() {
-        let mut m = Model::new();
-        let a = m.add_var(1.0);
-        let b = m.add_var(2.0);
-        m.add_constraint(vec![(a, 1.0), (b, 1.0)], Sense::Eq, 1.0);
-        // Feasible but suboptimal incumbent: picking b at cost 2.
-        let r = solve_binary_program(
-            &m,
-            BnbOptions { incumbent: Some((vec![0.0, 1.0], 2.0)), ..Default::default() },
-        );
-        match r {
-            BnbResult::Optimal { values, objective } => {
-                assert_eq!(values, vec![1.0, 0.0]);
-                assert!((objective - 1.0).abs() < 1e-9);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!    the loop exact. Each master round makes exactly one pricing call,
 //!    against the true duals.
 //! 3. **Restricted IP** — once the LP prices out (no column below `−ε`),
-//!    the existing presolve → decompose → branch-and-bound pipeline solves
-//!    the integer program over the restricted pool.
+//!    the production presolve → decompose → DLX pipeline
+//!    ([`SetPartitionProblem::solve_presolved`]) solves the integer
+//!    program over the restricted pool.
 //! 4. **Gap closing** — for set partitioning, any exact cover `S` obeys
 //!    `cost(S) ≥ z_LP + Σ_{j∈S} rc_j` (complementary slackness absorbs the
 //!    cardinality rows), and after convergence every column — seen or not —
@@ -34,15 +35,13 @@
 //!    the pool (drained in full before the next restricted IP, and the
 //!    loop repeats) or proves the incumbent optimal.
 //!
-//! The enumerated presolved route ([`SetPartitionProblem::solve_presolved`])
-//! stays as the differential oracle: on enumerable pools both routes return
-//! selections with bit-identical cost and validity (property-tested in
-//! `gecco-core`).
+//! The enumerated presolved route stays as the differential oracle: on
+//! enumerable pools both routes return selections with bit-identical cost
+//! and validity (property-tested in `gecco-core`).
 
 use crate::model::{Model, Sense};
-use crate::presolve::PresolveOptions;
 use crate::revised::{MasterLp, RevisedMaster};
-use crate::setpart::{SetPartitionProblem, SetPartitionSolution, SolveEngine};
+use crate::setpart::{SetPartitionProblem, SetPartitionSolution};
 use crate::simplex::{solve_lp_with_duals_counted, LpDualResult};
 use std::collections::HashMap;
 
@@ -155,10 +154,6 @@ pub enum MasterEngine {
 /// Tuning knobs for the restricted-master loop.
 #[derive(Debug, Clone)]
 pub struct ColGenOptions {
-    /// Engine for the restricted integer solves.
-    pub engine: SolveEngine,
-    /// Presolve configuration for the restricted integer solves.
-    pub presolve: PresolveOptions,
     /// Node budget per restricted integer solve (0 = engine default).
     pub max_nodes: usize,
     /// Cap on pricing calls across the whole run; hitting it degrades the
@@ -170,15 +165,14 @@ pub struct ColGenOptions {
     /// Reduced-cost tolerance: the LP loop prices at `−eps`, gap closing
     /// adds `+eps` of slack so float noise never hides a useful column.
     pub eps: f64,
-    /// Engine for the restricted master LP solves.
+    /// Engine for the restricted master LP solves. Production runs keep
+    /// the default; [`MasterEngine::Dense`] is the differential oracle.
     pub master: MasterEngine,
 }
 
 impl Default for ColGenOptions {
     fn default() -> Self {
         ColGenOptions {
-            engine: SolveEngine::default(),
-            presolve: PresolveOptions::default(),
             max_nodes: 0,
             max_rounds: 10_000,
             pricing_batch: 256,
@@ -542,7 +536,7 @@ fn restricted_ip(
     for (members, cost) in &pool.columns {
         problem.add_set(members.clone(), *cost);
     }
-    problem.solve_presolved(options.engine, &options.presolve)
+    problem.solve_presolved()
 }
 
 /// Best-effort exit when the round budget died before the master shed its
@@ -727,7 +721,7 @@ mod tests {
         for (members, cost) in pool {
             p.add_set(members.to_vec(), *cost);
         }
-        p.solve(SolveEngine::Dlx)
+        p.solve()
     }
 
     fn assert_matches_oracle(

@@ -27,88 +27,31 @@
 //!    `(cost, k)` frontier) and a dynamic program picks one frontier
 //!    entry per component so the total count lands inside the bounds at
 //!    minimum cost. [`PresolveStats::decomposition`] records which of
-//!    these paths ran — or why none did.
+//!    these paths ran.
 //!
 //! Every reduction is exact: the reduced instance has the same optimal
 //! cost as the original, and solutions map back through the recorded
 //! fixings. Per component, a greedy warm-start incumbent and a lower
 //! bound (the admissible per-element cost share, tightened by the LP
-//! relaxation on large DLX components) are threaded into whichever
-//! engine solves it, so the branch-and-bound prunes instead of
-//! searching cold.
+//! relaxation on large components) are threaded into the DLX search, so
+//! its branch-and-bound prunes instead of searching cold.
 
-use crate::setpart::{SetPartitionProblem, SetPartitionSolution, SolveEngine};
+use crate::setpart::{SetPartitionProblem, SetPartitionSolution};
 use crate::simplex::{solve_lp_box, LpResult};
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
-/// Which reductions run; all default to on.
-#[derive(Debug, Clone)]
-pub struct PresolveOptions {
-    /// Collapse duplicate sets to the cheapest.
-    pub dedup: bool,
-    /// Remove dominated sets / redundant elements (reduction 3).
-    pub dominance: bool,
-    /// Fix sets that are the sole cover of some element.
-    pub fix_mandatory: bool,
-    /// Split the residual instance into connected components.
-    pub decompose: bool,
-    /// When residual cardinality bounds couple the components, still
-    /// decompose and recombine per-component `(cost, #sets)` frontiers
-    /// with a dynamic program (see [`ReducedProblem::frontier_tasks`]).
-    /// `false` restores the pre-DP behavior: bounds force one monolithic
-    /// solve, recorded as [`DecompositionStatus::BoundsWithoutDp`].
-    pub cardinality_dp: bool,
-    /// Seed each component with a greedy feasible cover.
-    pub warm_start: bool,
-    /// Tighten the lower bound of large DLX components with the LP
-    /// relaxation. Only components whose set count lies in
-    /// `lp_bound_min_sets..=lp_bound_max_sets` pay for the LP: the
-    /// simplex engine solves that relaxation at its root anyway, small
-    /// DLX searches outrun one dense LP, and the dense tableau grows
-    /// quadratically past the ceiling.
-    pub lp_bound: bool,
-    /// Smallest DLX component (in sets) that computes the LP bound.
-    pub lp_bound_min_sets: usize,
-    /// Largest DLX component (in sets) that computes the LP bound.
-    pub lp_bound_max_sets: usize,
-}
-
-impl PresolveOptions {
-    /// The LP-bound size threshold: DLX components with **more** than this
-    /// many sets compute the LP-relaxation lower bound before searching
-    /// (`lp_bound_min_sets` defaults to this + 1). Below it, the
-    /// dancing-links search with its built-in per-column share bound
-    /// finishes faster than one dense LP solve; measured on the
-    /// `bench_selection` instances the crossover sits near 256 sets.
-    /// Selections must be identical on both sides of the threshold — the
-    /// LP only tightens a lower bound, it never changes the optimum — and
-    /// a regression test pins that.
-    pub const LP_BOUND_SET_THRESHOLD: usize = 256;
-    /// Default ceiling for the LP bound: the dense tableau grows
-    /// quadratically, so past this many sets the LP costs more than the
-    /// pruning it buys.
-    pub const LP_BOUND_SET_CEILING: usize = 512;
-}
-
-impl Default for PresolveOptions {
-    fn default() -> Self {
-        PresolveOptions {
-            dedup: true,
-            dominance: true,
-            fix_mandatory: true,
-            decompose: true,
-            cardinality_dp: true,
-            warm_start: true,
-            lp_bound: true,
-            lp_bound_min_sets: Self::LP_BOUND_SET_THRESHOLD + 1,
-            lp_bound_max_sets: Self::LP_BOUND_SET_CEILING,
-        }
-    }
-}
+/// Component sizes (in sets) that compute the LP-relaxation lower bound
+/// before the DLX search. Below the window, the dancing-links search with
+/// its built-in per-column share bound finishes faster than one dense LP
+/// solve (measured on the `bench_selection` instances, the crossover sits
+/// near 256 sets); above it, the dense tableau grows quadratically and the
+/// LP costs more than the pruning it buys. The LP only tightens a lower
+/// bound, so selections are identical on both sides of the window.
+const LP_BOUND_SETS: RangeInclusive<usize> = 257..=512;
 
 /// How the residual instance was (or was not) decomposed — surfaced so
-/// callers can see *why* a solve went monolithic instead of silently
-/// paying for it.
+/// callers can see *why* a solve went monolithic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DecompositionStatus {
     /// Presolve solved or refuted the instance outright; no residual was
@@ -122,12 +65,6 @@ pub enum DecompositionStatus {
     CoupledDp,
     /// The residual element/set graph is a single connected block.
     SingleComponent,
-    /// [`PresolveOptions::decompose`] was off.
-    DisabledByOptions,
-    /// Residual cardinality bounds were present and
-    /// [`PresolveOptions::cardinality_dp`] was off, so the residual was
-    /// solved as one block.
-    BoundsWithoutDp,
 }
 
 /// What presolve removed, for logging and benchmarks.
@@ -177,6 +114,13 @@ impl Component {
     pub fn original_set(&self, local: usize) -> usize {
         self.set_map[local]
     }
+
+    /// Maps a local solution back to original set indices (ascending).
+    fn to_original(&self, local: SetPartitionSolution) -> SetPartitionSolution {
+        let mut selected: Vec<usize> = local.selected.iter().map(|&i| self.set_map[i]).collect();
+        selected.sort_unstable();
+        SetPartitionSolution { selected, ..local }
+    }
 }
 
 /// The reduced instance: forced sets plus independent components.
@@ -188,7 +132,6 @@ impl Component {
 #[derive(Debug)]
 pub struct ReducedProblem<'a> {
     problem: &'a SetPartitionProblem,
-    options: PresolveOptions,
     stats: PresolveStats,
     /// Sets forced into every solution (ascending original indices).
     fixed: Vec<usize>,
@@ -241,25 +184,16 @@ impl ReducedProblem<'_> {
         !self.ranges.is_empty()
     }
 
-    /// Solves component `idx` with `engine`, seeded with a greedy warm
-    /// start and a share/LP lower bound (per [`PresolveOptions`]).
-    /// Returns the selected sets as **original** indices, or `None` if
-    /// the component is infeasible.
-    pub fn solve_component(&self, idx: usize, engine: SolveEngine) -> Option<SetPartitionSolution> {
+    /// Solves component `idx` with DLX, seeded with a greedy warm start
+    /// and a share lower bound (tightened by the LP relaxation when the
+    /// component's set count lies in the LP-bound window). Returns the
+    /// selected sets as **original** indices, or `None` if the component
+    /// is infeasible.
+    pub fn solve_component(&self, idx: usize) -> Option<SetPartitionSolution> {
         let component = &self.components[idx];
         let problem = &component.problem;
-        let warm_start = if self.options.warm_start { greedy_cover(problem) } else { None };
         let mut lower_bound = share_bound(problem);
-        // An external LP bound only pays off for *large DLX* components:
-        // the simplex engine solves the identical root relaxation itself
-        // (and prunes against the warm-start incumbent there), and on
-        // small DLX components the dancing-links search with its built-in
-        // per-column share bound finishes faster than one dense LP.
-        let want_lp = self.options.lp_bound
-            && matches!(engine, SolveEngine::Dlx)
-            && problem.sets.len() >= self.options.lp_bound_min_sets
-            && problem.sets.len() <= self.options.lp_bound_max_sets;
-        if want_lp {
+        if LP_BOUND_SETS.contains(&problem.sets.len()) {
             match solve_lp_box(&problem.binary_model()) {
                 LpResult::Optimal(lp) => lower_bound = lower_bound.max(lp.objective),
                 // The LP relaxation is infeasible, so the component is.
@@ -267,18 +201,8 @@ impl ReducedProblem<'_> {
                 LpResult::Unbounded => {}
             }
         }
-        let local = match engine {
-            SolveEngine::Dlx => problem.solve_dlx_with(warm_start, Some(lower_bound)),
-            SolveEngine::SimplexBnb => problem.solve_bnb_with(warm_start, Some(lower_bound)),
-        }?;
-        let mut selected: Vec<usize> =
-            local.selected.iter().map(|&i| component.set_map[i]).collect();
-        selected.sort_unstable();
-        Some(SetPartitionSolution {
-            selected,
-            cost: local.cost,
-            proven_optimal: local.proven_optimal,
-        })
+        let local = problem.solve_dlx_outcome(greedy_cover(problem), Some(lower_bound)).0?;
+        Some(component.to_original(local))
     }
 
     /// Concatenates per-component solutions (in component order, as
@@ -304,15 +228,15 @@ impl ReducedProblem<'_> {
     }
 
     /// Solves every component serially and assembles the result.
-    pub fn solve(&self, engine: SolveEngine) -> Option<SetPartitionSolution> {
+    pub fn solve(&self) -> Option<SetPartitionSolution> {
         if self.is_coupled() {
             let tasks = self.frontier_tasks();
             let outcomes: Vec<FrontierOutcome> =
-                tasks.iter().map(|&(c, k)| self.solve_frontier_task(c, k, engine)).collect();
+                tasks.iter().map(|&(c, k)| self.solve_frontier_task(c, k)).collect();
             return self.assemble_frontier(outcomes);
         }
         let solutions: Vec<Option<SetPartitionSolution>> =
-            (0..self.components.len()).map(|i| self.solve_component(i, engine)).collect();
+            (0..self.components.len()).map(|i| self.solve_component(i)).collect();
         self.assemble(solutions)
     }
 
@@ -332,33 +256,14 @@ impl ReducedProblem<'_> {
     /// Solves component `idx` with exactly `k` selected sets (one
     /// frontier entry), seeded with a greedy warm start (when it happens
     /// to hit `k`) and the share lower bound.
-    pub fn solve_frontier_task(
-        &self,
-        idx: usize,
-        k: usize,
-        engine: SolveEngine,
-    ) -> FrontierOutcome {
+    pub fn solve_frontier_task(&self, idx: usize, k: usize) -> FrontierOutcome {
         let component = &self.components[idx];
         let mut problem = component.problem.clone();
         problem.min_sets = Some(k);
         problem.max_sets = Some(k);
-        let warm_start = if self.options.warm_start { greedy_cover(&problem) } else { None };
-        let lower_bound = Some(share_bound(&problem));
-        let (local, conclusive) = match engine {
-            SolveEngine::Dlx => problem.solve_dlx_outcome(warm_start, lower_bound),
-            SolveEngine::SimplexBnb => problem.solve_bnb_outcome(warm_start, lower_bound),
-        };
-        let mapped = local.map(|local| {
-            let mut selected: Vec<usize> =
-                local.selected.iter().map(|&i| component.set_map[i]).collect();
-            selected.sort_unstable();
-            SetPartitionSolution {
-                selected,
-                cost: local.cost,
-                proven_optimal: local.proven_optimal,
-            }
-        });
-        match (mapped, conclusive) {
+        let (local, conclusive) =
+            problem.solve_dlx_outcome(greedy_cover(&problem), Some(share_bound(&problem)));
+        match (local.map(|local| component.to_original(local)), conclusive) {
             (Some(solution), true) => FrontierOutcome::Solution(solution),
             (None, true) => FrontierOutcome::Infeasible,
             (incumbent, false) => FrontierOutcome::Exhausted(incumbent),
@@ -699,33 +604,15 @@ fn is_subset(small: &[usize], large: &[usize]) -> bool {
 
 /// Presolves `problem`: applies the reductions of the module docs to a
 /// fixpoint, then decomposes the residual into connected components.
-pub fn presolve<'a>(
-    problem: &'a SetPartitionProblem,
-    options: &PresolveOptions,
-) -> PresolveOutcome<'a> {
+pub fn presolve(problem: &SetPartitionProblem) -> PresolveOutcome<'_> {
     let mut reducer = Reducer::new(problem);
     loop {
-        let mut changed = false;
-        if options.fix_mandatory {
-            match reducer.fix_mandatory_pass() {
-                Ok(c) => changed |= c,
-                Err(()) => return PresolveOutcome::Infeasible,
-            }
-        } else if reducer
-            .covers()
-            .iter()
-            .enumerate()
-            .any(|(e, cover)| reducer.alive_elem[e] && cover.is_empty())
-        {
-            // Even without fixing, an uncoverable element is conclusive.
-            return PresolveOutcome::Infeasible;
-        }
-        if options.dedup {
-            changed |= reducer.dedup_pass();
-        }
-        if options.dominance {
-            changed |= reducer.dominance_pass();
-        }
+        let mut changed = match reducer.fix_mandatory_pass() {
+            Ok(changed) => changed,
+            Err(()) => return PresolveOutcome::Infeasible,
+        };
+        changed |= reducer.dedup_pass();
+        changed |= reducer.dominance_pass();
         if !changed {
             break;
         }
@@ -763,23 +650,12 @@ pub fn presolve<'a>(
     // or a binding maximum couples the components.
     let binding_max = residual_max.filter(|&max| max < alive_elements.len());
     let bounded = residual_min.unwrap_or(0) > 0 || binding_max.is_some();
-    let coupled = bounded && options.decompose && options.cardinality_dp;
-    let element_groups: Vec<Vec<usize>> = if options.decompose && (!bounded || coupled) {
-        connected_components(&reducer, &alive_elements)
-    } else {
-        vec![alive_elements]
-    };
+    let element_groups = connected_components(&reducer, &alive_elements);
     // The frontier DP only earns its keep with ≥ 2 components; a single
     // block solves directly with the bounds attached.
-    let coupled = coupled && element_groups.len() > 1;
-    stats.decomposition = if bounded && coupled {
+    let coupled = bounded && element_groups.len() > 1;
+    stats.decomposition = if coupled {
         DecompositionStatus::CoupledDp
-    } else if bounded && !options.decompose {
-        DecompositionStatus::DisabledByOptions
-    } else if bounded && !options.cardinality_dp {
-        DecompositionStatus::BoundsWithoutDp
-    } else if !options.decompose {
-        DecompositionStatus::DisabledByOptions
     } else if element_groups.len() > 1 {
         DecompositionStatus::Decomposed
     } else {
@@ -821,7 +697,6 @@ pub fn presolve<'a>(
     };
     PresolveOutcome::Reduced(ReducedProblem {
         problem,
-        options: options.clone(),
         stats,
         fixed,
         components,
@@ -931,8 +806,8 @@ mod tests {
         p
     }
 
-    fn reduced<'a>(p: &'a SetPartitionProblem, options: &PresolveOptions) -> ReducedProblem<'a> {
-        match presolve(p, options) {
+    fn reduced(p: &SetPartitionProblem) -> ReducedProblem<'_> {
+        match presolve(p) {
             PresolveOutcome::Reduced(r) => r,
             other => panic!("expected Reduced, got {other:?}"),
         }
@@ -942,14 +817,14 @@ mod tests {
     fn duplicates_collapse_to_the_cheapest() {
         let p =
             problem(2, &[(&[0, 1], 3.0), (&[0, 1], 1.0), (&[0, 1], 2.0), (&[0], 0.4), (&[1], 0.4)]);
-        let r = reduced(&p, &PresolveOptions::default());
+        let r = reduced(&p);
         assert_eq!(r.stats().removed_duplicates, 2);
-        let s = r.solve(SolveEngine::Dlx).unwrap();
+        let s = r.solve().unwrap();
         assert_eq!(s.selected, vec![3, 4]);
         assert!((s.cost - 0.8).abs() < 1e-12);
         // Flip the pricing: the kept duplicate is the 1.0 one.
         let p = problem(2, &[(&[0, 1], 3.0), (&[0, 1], 1.0), (&[0], 0.9), (&[1], 0.9)]);
-        let s = p.solve_presolved(SolveEngine::Dlx, &PresolveOptions::default()).unwrap();
+        let s = p.solve_presolved().unwrap();
         assert_eq!(s.selected, vec![1]);
         assert!((s.cost - 1.0).abs() < 1e-12);
     }
@@ -959,7 +834,7 @@ mod tests {
         // Element 0 only covered by {0,1}; fixing it kills {1,2}, which
         // makes {2} mandatory for element 2.
         let p = problem(3, &[(&[0, 1], 1.0), (&[1, 2], 1.0), (&[2], 0.5)]);
-        match presolve(&p, &PresolveOptions::default()) {
+        match presolve(&p) {
             PresolveOutcome::Solved(s, stats) => {
                 assert_eq!(s.selected, vec![0, 2]);
                 assert!((s.cost - 1.5).abs() < 1e-12);
@@ -975,14 +850,14 @@ mod tests {
         // Both pairs are mandatory (sole covers of elements 0 and 2) but
         // overlap on element 1.
         let p = problem(3, &[(&[0, 1], 1.0), (&[1, 2], 1.0)]);
-        assert!(matches!(presolve(&p, &PresolveOptions::default()), PresolveOutcome::Infeasible));
-        assert!(p.solve(SolveEngine::Dlx).is_none(), "oracle agrees");
+        assert!(matches!(presolve(&p), PresolveOutcome::Infeasible));
+        assert!(p.solve().is_none(), "oracle agrees");
     }
 
     #[test]
     fn uncoverable_element_is_infeasible() {
         let p = problem(2, &[(&[0], 1.0)]);
-        assert!(matches!(presolve(&p, &PresolveOptions::default()), PresolveOutcome::Infeasible));
+        assert!(matches!(presolve(&p), PresolveOutcome::Infeasible));
     }
 
     #[test]
@@ -991,12 +866,11 @@ mod tests {
         // never be selected (element 1 is always covered via element 0's
         // set), and element 1's row becomes redundant.
         let p = problem(3, &[(&[0, 1], 1.0), (&[0, 1, 2], 1.4), (&[1], 0.2), (&[2], 0.3)]);
-        let opts = PresolveOptions { fix_mandatory: false, ..Default::default() };
-        let r = reduced(&p, &opts);
+        let r = reduced(&p);
         assert!(r.stats().removed_dominated >= 1);
         assert!(r.stats().merged_elements >= 1);
-        let s = r.solve(SolveEngine::Dlx).unwrap();
-        let oracle = p.solve(SolveEngine::Dlx).unwrap();
+        let s = r.solve().unwrap();
+        let oracle = p.solve().unwrap();
         assert!((s.cost - oracle.cost).abs() < 1e-9);
         assert_eq!(s.selected, vec![0, 3]);
     }
@@ -1008,17 +882,16 @@ mod tests {
             4,
             &[(&[0, 1], 1.0), (&[0], 0.7), (&[1], 0.7), (&[2, 3], 2.0), (&[2], 0.6), (&[3], 0.6)],
         );
-        let opts = PresolveOptions { fix_mandatory: false, dominance: false, ..Default::default() };
-        let r = reduced(&p, &opts);
+        let r = reduced(&p);
         assert_eq!(r.components().len(), 2);
         assert_eq!(r.stats().components, 2);
-        let s = r.solve(SolveEngine::Dlx).unwrap();
+        let s = r.solve().unwrap();
         assert_eq!(s.selected, vec![0, 4, 5]);
         assert!((s.cost - 2.2).abs() < 1e-12);
         assert!(s.proven_optimal);
         // Component solutions assemble in any order the caller produces
         // them (they arrive indexed, so order is the component order).
-        let sols: Vec<_> = (0..2).map(|i| r.solve_component(i, SolveEngine::SimplexBnb)).collect();
+        let sols: Vec<_> = (0..2).map(|i| r.solve_component(i)).collect();
         let s2 = r.assemble(sols).unwrap();
         assert_eq!(s2.selected, s.selected);
         assert!((s2.cost - s.cost).abs() < 1e-12);
@@ -1031,41 +904,15 @@ mod tests {
             &[(&[0, 1], 1.0), (&[0], 0.7), (&[1], 0.7), (&[2, 3], 2.0), (&[2], 0.6), (&[3], 0.6)],
         );
         p.max_sets = Some(2);
-        let opts = PresolveOptions { fix_mandatory: false, dominance: false, ..Default::default() };
-        let r = reduced(&p, &opts);
+        let r = reduced(&p);
         assert_eq!(r.components().len(), 2, "the DP keeps the blocks separate");
         assert!(r.is_coupled());
         assert_eq!(r.stats().decomposition, DecompositionStatus::CoupledDp);
-        let s = r.solve(SolveEngine::Dlx).unwrap();
-        let oracle = p.solve(SolveEngine::Dlx).unwrap();
+        let s = r.solve().unwrap();
+        let oracle = p.solve().unwrap();
         assert_eq!(s.selected, vec![0, 3]);
         assert!((s.cost - oracle.cost).abs() < 1e-9);
         assert!(s.proven_optimal);
-    }
-
-    #[test]
-    fn cardinality_dp_opt_out_solves_monolithically() {
-        // With the frontier DP disabled, bounds fall back to the old
-        // behavior: one coupled block carrying the residual bounds.
-        let mut p = problem(
-            4,
-            &[(&[0, 1], 1.0), (&[0], 0.7), (&[1], 0.7), (&[2, 3], 2.0), (&[2], 0.6), (&[3], 0.6)],
-        );
-        p.max_sets = Some(2);
-        let opts = PresolveOptions {
-            fix_mandatory: false,
-            dominance: false,
-            cardinality_dp: false,
-            ..Default::default()
-        };
-        let r = reduced(&p, &opts);
-        assert_eq!(r.components().len(), 1, "bounds couple the blocks");
-        assert!(!r.is_coupled());
-        assert_eq!(r.stats().decomposition, DecompositionStatus::BoundsWithoutDp);
-        let s = r.solve(SolveEngine::Dlx).unwrap();
-        let oracle = p.solve(SolveEngine::Dlx).unwrap();
-        assert_eq!(s.selected, vec![0, 3]);
-        assert!((s.cost - oracle.cost).abs() < 1e-9);
     }
 
     #[test]
@@ -1078,66 +925,64 @@ mod tests {
             &[(&[0, 1], 1.0), (&[0], 0.7), (&[1], 0.8), (&[2, 3], 1.0), (&[2], 0.6), (&[3], 0.85)],
         );
         p.min_sets = Some(3);
-        let opts = PresolveOptions { fix_mandatory: false, dominance: false, ..Default::default() };
-        let r = reduced(&p, &opts);
+        let r = reduced(&p);
         assert!(r.is_coupled());
-        for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
-            let s = r.solve(engine).unwrap();
-            let oracle = p.solve(engine).unwrap();
-            assert!((s.cost - oracle.cost).abs() < 1e-9, "{engine:?}");
-            assert_eq!(s.selected, oracle.selected, "{engine:?}");
-            assert!(s.proven_optimal);
+        let s = r.solve().unwrap();
+        assert!(s.proven_optimal);
+        for (name, oracle) in [("dlx", p.solve().unwrap()), ("bnb", p.solve_bnb().unwrap())] {
+            assert!((s.cost - oracle.cost).abs() < 1e-9, "{name}");
+            assert_eq!(s.selected, oracle.selected, "{name}");
         }
     }
 
     #[test]
     fn frontier_dp_detects_infeasible_ranges() {
-        // Two blocks of two elements each with only singleton covers:
-        // any cover needs 4 sets, but max_sets = 3.
-        let mut p = problem(4, &[(&[0], 0.5), (&[1], 0.5), (&[2], 0.5), (&[3], 0.5)]);
-        p.max_sets = Some(3);
-        let opts = PresolveOptions { fix_mandatory: false, dominance: false, ..Default::default() };
-        match presolve(&p, &opts) {
-            PresolveOutcome::Infeasible => {}
-            PresolveOutcome::Reduced(r) => assert!(r.solve(SolveEngine::Dlx).is_none()),
-            PresolveOutcome::Solved(s, _) => panic!("unexpected solve: {s:?}"),
-        }
-        assert!(p.solve(SolveEngine::Dlx).is_none(), "oracle agrees");
+        // Two blocks {0,1} and {2,3}, each coverable by one pair or two
+        // singletons: any cover needs at least 2 sets, but max_sets = 1.
+        // Nothing is fixed or dominated, so only the k-ranges refute it.
+        let mut p = problem(
+            4,
+            &[(&[0, 1], 1.0), (&[0], 0.5), (&[1], 0.5), (&[2, 3], 1.0), (&[2], 0.5), (&[3], 0.5)],
+        );
+        p.max_sets = Some(1);
+        assert!(matches!(presolve(&p), PresolveOutcome::Infeasible));
+        assert!(p.solve().is_none(), "oracle agrees");
     }
 
     #[test]
-    fn lp_bound_threshold_is_selection_invariant() {
-        // The LP bound is a pruning aid, never a correctness lever:
-        // forcing a component to either side of
-        // `PresolveOptions::LP_BOUND_SET_THRESHOLD` must yield the same
-        // selection bit for bit. Build one odd-cycle-ish block (so the LP
-        // relaxation is fractional and actually differs from the IP) and
-        // solve it with the LP gate wide open and fully closed.
-        let mut p = SetPartitionProblem::new(9);
+    fn lp_bound_window_is_selection_invariant() {
+        // The LP bound is a pruning aid, never a correctness lever: a
+        // component inside `LP_BOUND_SETS` (LP computed) and one below it
+        // (LP skipped) must both return the un-presolved oracle's
+        // selection. Both instances build on a 9-element odd cycle of
+        // pairs and singletons, so the LP relaxation is fractional and
+        // actually differs from the IP.
+        let mut small = SetPartitionProblem::new(9);
         for i in 0..9usize {
-            p.add_set(vec![i, (i + 1) % 9], 1.0 + 0.01 * i as f64);
-            p.add_set(vec![i], 0.61 + 0.005 * i as f64);
+            small.add_set(vec![i, (i + 1) % 9], 1.0 + 0.01 * i as f64);
+            small.add_set(vec![i], 0.61 + 0.005 * i as f64);
         }
-        let lp_on = PresolveOptions {
-            lp_bound_min_sets: 0,
-            lp_bound_max_sets: usize::MAX,
-            ..Default::default()
-        };
-        let lp_off = PresolveOptions { lp_bound: false, ..Default::default() };
-        assert!(p.sets.len() <= PresolveOptions::LP_BOUND_SET_THRESHOLD);
-        let on = p.solve_presolved(SolveEngine::Dlx, &lp_on).unwrap();
-        let off = p.solve_presolved(SolveEngine::Dlx, &lp_off).unwrap();
-        let default = p.solve_presolved(SolveEngine::Dlx, &PresolveOptions::default()).unwrap();
-        assert_eq!(on.selected, off.selected);
-        assert_eq!(on.selected, default.selected);
-        assert_eq!(on.cost.to_bits(), off.cost.to_bits());
-        assert_eq!(on.cost.to_bits(), default.cost.to_bits());
-        assert!(on.proven_optimal && off.proven_optimal);
-        // Both thresholds stay coherent: the window is non-empty.
-        const { assert!(PresolveOptions::LP_BOUND_SET_THRESHOLD < PresolveOptions::LP_BOUND_SET_CEILING) }
-        let defaults = PresolveOptions::default();
-        assert_eq!(defaults.lp_bound_min_sets, PresolveOptions::LP_BOUND_SET_THRESHOLD + 1);
-        assert_eq!(defaults.lp_bound_max_sets, PresolveOptions::LP_BOUND_SET_CEILING);
+        // The same cycle plus every 3- to 5-element subset at a cost share
+        // no cover can afford: 18 + 84 + 126 + 126 sets, one component.
+        let mut large = small.clone();
+        for mask in 0u32..1 << 9 {
+            let members: Vec<usize> = (0..9).filter(|&e| mask & (1 << e) != 0).collect();
+            if (3..=5).contains(&members.len()) {
+                let cost = 0.9 * members.len() as f64 + 0.001 * mask as f64;
+                large.add_set(members, cost);
+            }
+        }
+        for (p, lp) in [(&small, false), (&large, true)] {
+            let r = reduced(p);
+            assert_eq!(r.components().len(), 1);
+            let sets = r.components()[0].problem().sets.len();
+            assert_eq!(LP_BOUND_SETS.contains(&sets), lp, "{sets} sets");
+            let presolved = r.solve().unwrap();
+            let oracle = p.solve().unwrap();
+            assert_eq!(presolved.selected, oracle.selected, "{sets} sets");
+            assert!((presolved.cost - oracle.cost).abs() < 1e-9, "{sets} sets");
+            assert!(presolved.proven_optimal && oracle.proven_optimal);
+        }
     }
 
     #[test]
@@ -1149,13 +994,12 @@ mod tests {
             &[(&[0, 1], 1.0), (&[0], 0.7), (&[1], 0.7), (&[2, 3], 2.0), (&[2], 0.6), (&[3], 0.6)],
         );
         p.max_sets = Some(4);
-        let opts = PresolveOptions { fix_mandatory: false, dominance: false, ..Default::default() };
-        let r = reduced(&p, &opts);
+        let r = reduced(&p);
         assert_eq!(r.components().len(), 2);
         assert!(!r.is_coupled());
         assert_eq!(r.stats().decomposition, DecompositionStatus::Decomposed);
-        let s = r.solve(SolveEngine::Dlx).unwrap();
-        let oracle = p.solve(SolveEngine::Dlx).unwrap();
+        let s = r.solve().unwrap();
+        let oracle = p.solve().unwrap();
         assert!((s.cost - oracle.cost).abs() < 1e-9);
     }
 
@@ -1166,10 +1010,9 @@ mod tests {
         let mut p = problem(4, &[(&[0, 1], 1.0), (&[2, 3], 1.0), (&[2], 0.4), (&[3], 0.4)]);
         p.max_sets = Some(1);
         assert!(
-            matches!(presolve(&p, &PresolveOptions::default()), PresolveOutcome::Infeasible)
-                || p.solve_presolved(SolveEngine::Dlx, &PresolveOptions::default()).is_none()
+            matches!(presolve(&p), PresolveOutcome::Infeasible) || p.solve_presolved().is_none()
         );
-        assert!(p.solve(SolveEngine::Dlx).is_none(), "oracle agrees");
+        assert!(p.solve().is_none(), "oracle agrees");
     }
 
     #[test]
@@ -1191,7 +1034,7 @@ mod tests {
     fn share_bound_is_admissible() {
         let p = problem(3, &[(&[0, 1], 1.0), (&[2], 0.5), (&[0], 0.8), (&[1], 0.9)]);
         let lb = share_bound(&p);
-        let opt = p.solve(SolveEngine::Dlx).unwrap().cost;
+        let opt = p.solve().unwrap().cost;
         assert!(lb <= opt + 1e-12);
     }
 
@@ -1211,13 +1054,12 @@ mod tests {
                 (&[4], 0.5),
             ],
         );
-        for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
-            let presolved = p.solve_presolved(engine, &PresolveOptions::default()).unwrap();
-            let oracle = p.solve(engine).unwrap();
-            assert!((presolved.cost - oracle.cost).abs() < 1e-9, "{engine:?}");
-            assert!(presolved.proven_optimal);
+        let presolved = p.solve_presolved().unwrap();
+        assert!(presolved.proven_optimal);
+        for (name, oracle) in [("dlx", p.solve().unwrap()), ("bnb", p.solve_bnb().unwrap())] {
+            assert!((presolved.cost - oracle.cost).abs() < 1e-9, "{name}");
             // Unique optimum here → identical selections too.
-            assert_eq!(presolved.selected, oracle.selected, "{engine:?}");
+            assert_eq!(presolved.selected, oracle.selected, "{name}");
         }
     }
 

@@ -3,25 +3,16 @@
 //! §V-C formalizes group selection as a MIP over a bipartite
 //! candidate/class graph: minimize `Σ dist(gᵢ)·selected_{gᵢ}` subject to
 //! every class being covered by exactly one selected candidate (Eqs. 3–4),
-//! optionally bounding the number of selected groups (Eq. 5). Both solver
-//! backends accept this type, so they can be cross-validated.
+//! optionally bounding the number of selected groups (Eq. 5). The
+//! production route is [`SetPartitionProblem::solve_presolved`]; the
+//! un-presolved [`SetPartitionProblem::solve`] and the simplex
+//! branch-and-bound [`SetPartitionProblem::solve_bnb`] are the reference
+//! solves it is cross-validated against.
 
 use crate::branch_bound::{solve_binary_program, BnbOptions, BnbResult};
 use crate::dlx::{CoverOutcome, ExactCover, SolveParams};
 use crate::model::{Model, Sense};
-use crate::presolve::{presolve, PresolveOptions, PresolveOutcome};
-
-/// Which backend solves the partitioning problem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveEngine {
-    /// Dancing-links exact cover with cost-based branch-and-bound — the
-    /// production engine.
-    #[default]
-    Dlx,
-    /// Generic binary program via simplex-based branch-and-bound — the
-    /// reference engine for cross-validation and ablation.
-    SimplexBnb,
-}
+use crate::presolve::{presolve, PresolveOutcome};
 
 /// A weighted set-partitioning instance.
 #[derive(Debug, Clone, Default)]
@@ -74,36 +65,31 @@ impl SetPartitionProblem {
         }
     }
 
-    /// Solves with the chosen engine; `None` means infeasible (or budget
-    /// exhausted without any cover found).
-    pub fn solve(&self, engine: SolveEngine) -> Option<SetPartitionSolution> {
-        match engine {
-            SolveEngine::Dlx => self.solve_dlx_with(None, None),
-            SolveEngine::SimplexBnb => self.solve_bnb_with(None, None),
-        }
+    /// Solves the instance as given with the DLX engine, without presolve:
+    /// the differential-testing oracle for [`Self::solve_presolved`].
+    /// `None` means infeasible (or budget exhausted without any cover
+    /// found).
+    pub fn solve(&self) -> Option<SetPartitionSolution> {
+        self.solve_dlx_outcome(None, None).0
     }
 
     /// Solves through the presolve → decompose → per-component pipeline:
     /// duplicate sets collapse to the cheapest, dominated sets and
     /// redundant elements disappear, elements covered by a single set are
     /// fixed, and the residual element/set graph splits into connected
-    /// components solved independently (each with a greedy warm start and
-    /// an LP/share lower bound). Cost-equivalent to [`Self::solve`], which
-    /// stays as the un-presolved oracle for differential tests.
-    pub fn solve_presolved(
-        &self,
-        engine: SolveEngine,
-        options: &PresolveOptions,
-    ) -> Option<SetPartitionSolution> {
-        match presolve(self, options) {
+    /// components solved independently by DLX (each with a greedy warm
+    /// start and an LP/share lower bound). Cost-equivalent to
+    /// [`Self::solve`].
+    pub fn solve_presolved(&self) -> Option<SetPartitionSolution> {
+        match presolve(self) {
             PresolveOutcome::Infeasible => None,
             PresolveOutcome::Solved(solution, _) => Some(solution),
-            PresolveOutcome::Reduced(reduced) => reduced.solve(engine),
+            PresolveOutcome::Reduced(reduced) => reduced.solve(),
         }
     }
 
     /// The binary program of Eqs. 3–5 (set variables, exactly-one rows,
-    /// optional cardinality rows); shared by the simplex engine and the
+    /// optional cardinality rows); shared by [`Self::solve_bnb`] and the
     /// presolve LP bound.
     pub(crate) fn binary_model(&self) -> Model {
         let mut model = Model::new();
@@ -131,17 +117,10 @@ impl SetPartitionProblem {
         model
     }
 
-    pub(crate) fn solve_dlx_with(
-        &self,
-        warm_start: Option<(Vec<usize>, f64)>,
-        lower_bound: Option<f64>,
-    ) -> Option<SetPartitionSolution> {
-        self.solve_dlx_outcome(warm_start, lower_bound).0
-    }
-
-    /// Like [`Self::solve_dlx_with`] but also reports whether the answer
-    /// is *conclusive* — `(None, true)` is proven infeasibility while
-    /// `(None, false)` means the node budget ran out undecided. The
+    /// DLX with an optional warm start and external lower bound; also
+    /// reports whether the answer is *conclusive* — `(None, true)` is
+    /// proven infeasibility while `(None, false)` means the node budget ran
+    /// out undecided. The
     /// cardinality frontier DP in [`crate::presolve`] needs that
     /// distinction to keep its optimality proofs honest.
     pub(crate) fn solve_dlx_outcome(
@@ -174,52 +153,20 @@ impl SetPartitionProblem {
         }
     }
 
-    pub(crate) fn solve_bnb_with(
-        &self,
-        warm_start: Option<(Vec<usize>, f64)>,
-        lower_bound: Option<f64>,
-    ) -> Option<SetPartitionSolution> {
-        self.solve_bnb_outcome(warm_start, lower_bound).0
-    }
-
-    /// Outcome-reporting twin of [`Self::solve_bnb_with`]; see
-    /// [`Self::solve_dlx_outcome`].
-    pub(crate) fn solve_bnb_outcome(
-        &self,
-        warm_start: Option<(Vec<usize>, f64)>,
-        lower_bound: Option<f64>,
-    ) -> (Option<SetPartitionSolution>, bool) {
-        let model = self.binary_model();
-        // Translate a row-index warm start into a 0/1 assignment.
-        let incumbent = warm_start.map(|(rows, cost)| {
-            let mut values = vec![0.0; self.sets.len()];
-            for &row in &rows {
-                values[row] = 1.0;
-            }
-            (values, cost)
-        });
-        let options =
-            BnbOptions { max_nodes: self.budget(), incumbent, lower_bound, ..Default::default() };
-        match solve_binary_program(&model, options) {
-            BnbResult::Optimal { values, objective } => {
-                let selected: Vec<usize> =
-                    (0..self.sets.len()).filter(|&i| values[i] > 0.5).collect();
-                (
-                    Some(SetPartitionSolution { selected, cost: objective, proven_optimal: true }),
-                    true,
-                )
-            }
-            BnbResult::Feasible { values, objective } => {
-                let selected: Vec<usize> =
-                    (0..self.sets.len()).filter(|&i| values[i] > 0.5).collect();
-                (
-                    Some(SetPartitionSolution { selected, cost: objective, proven_optimal: false }),
-                    false,
-                )
-            }
-            BnbResult::Infeasible => (None, true),
-            BnbResult::NodeLimit => (None, false),
-        }
+    /// Solves the binary program of Eqs. 3–5 by simplex branch-and-bound,
+    /// without presolve: the reference engine DLX is cross-validated
+    /// against. On node-budget exhaustion it returns its incumbent with
+    /// `proven_optimal: false`, like DLX.
+    pub fn solve_bnb(&self) -> Option<SetPartitionSolution> {
+        let options = BnbOptions { max_nodes: self.budget(), ..Default::default() };
+        let (values, cost, proven_optimal) =
+            match solve_binary_program(&self.binary_model(), options) {
+                BnbResult::Optimal { values, objective } => (values, objective, true),
+                BnbResult::Feasible { values, objective } => (values, objective, false),
+                BnbResult::Infeasible | BnbResult::NodeLimit => return None,
+            };
+        let selected = (0..self.sets.len()).filter(|&i| values[i] > 0.5).collect();
+        Some(SetPartitionSolution { selected, cost, proven_optimal })
     }
 }
 
@@ -252,12 +199,12 @@ mod tests {
         // engine mapped `BnbResult::NodeLimit` to `None`, discarding its
         // incumbent. Both engines must degrade the same way.
         let mut p = double_odd_cycle();
-        let optimum = p.solve(SolveEngine::SimplexBnb).unwrap();
+        let optimum = p.solve_bnb().unwrap();
         assert!(optimum.proven_optimal);
         let mut saw_incumbent = false;
         for budget in 1..=200 {
             p.max_nodes = budget;
-            if let Some(s) = p.solve(SolveEngine::SimplexBnb) {
+            if let Some(s) = p.solve_bnb() {
                 if !s.proven_optimal {
                     // The budget ran out after an incumbent was found: it
                     // must be a valid cover, no worse than nothing.
@@ -287,8 +234,8 @@ mod tests {
         p.add_set(vec![0, 1, 2, 3], 1.8);
         p.add_set(vec![0], 0.4);
         p.add_set(vec![1], 0.4);
-        let dlx = p.solve(SolveEngine::Dlx).unwrap();
-        let bnb = p.solve(SolveEngine::SimplexBnb).unwrap();
+        let dlx = p.solve().unwrap();
+        let bnb = p.solve_bnb().unwrap();
         assert!((dlx.cost - bnb.cost).abs() < 1e-9);
         assert!((dlx.cost - 1.8).abs() < 1e-9);
         assert!(dlx.proven_optimal);

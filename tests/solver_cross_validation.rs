@@ -1,8 +1,10 @@
-//! Property-based cross-validation of the two exact Step-2 engines against
-//! each other and against brute force — the evidence that replacing Gurobi
-//! with in-repo solvers preserves optimality.
+//! Property-based cross-validation of the production Step-2 route
+//! (presolve, then DLX) and its two un-presolved oracles (DLX and simplex
+//! branch-and-bound) against each other and against brute force — the
+//! evidence that replacing Gurobi with in-repo solvers preserves
+//! optimality.
 
-use gecco::solver::{PresolveOptions, SetPartitionProblem, SolveEngine};
+use gecco::solver::SetPartitionProblem;
 use proptest::prelude::*;
 
 /// Brute-force optimum by enumerating all 2^k subsets.
@@ -58,7 +60,7 @@ proptest! {
     #[test]
     fn dlx_matches_brute_force(p in arb_problem()) {
         let brute = brute_force(&p);
-        let dlx = p.solve(SolveEngine::Dlx);
+        let dlx = p.solve();
         match (brute, &dlx) {
             (None, None) => {}
             (Some(b), Some(s)) => {
@@ -71,8 +73,8 @@ proptest! {
 
     #[test]
     fn simplex_bnb_matches_dlx(p in arb_problem()) {
-        let dlx = p.solve(SolveEngine::Dlx);
-        let bnb = p.solve(SolveEngine::SimplexBnb);
+        let dlx = p.solve();
+        let bnb = p.solve_bnb();
         match (&dlx, &bnb) {
             (None, None) => {}
             (Some(a), Some(b)) => prop_assert!((a.cost - b.cost).abs() < 1e-9),
@@ -83,44 +85,39 @@ proptest! {
     #[test]
     fn presolved_route_matches_brute_force(p in arb_problem()) {
         let brute = brute_force(&p);
-        for engine in [SolveEngine::Dlx, SolveEngine::SimplexBnb] {
-            let presolved = p.solve_presolved(engine, &PresolveOptions::default());
-            match (brute, &presolved) {
-                (None, None) => {}
-                (Some(b), Some(s)) => {
-                    prop_assert!(s.proven_optimal, "{engine:?}");
-                    prop_assert!(
-                        (s.cost - b).abs() < 1e-9,
-                        "{engine:?} presolved {} vs brute {}", s.cost, b
-                    );
-                    // The reported cost matches the reported selection.
-                    let recomputed: f64 = s.selected.iter().map(|&i| p.sets[i].1).sum();
-                    prop_assert!((s.cost - recomputed).abs() < 1e-9);
-                    let mut covered = vec![0u8; p.num_elements];
-                    for &i in &s.selected {
-                        for &m in &p.sets[i].0 {
-                            covered[m] += 1;
-                        }
-                    }
-                    prop_assert!(covered.iter().all(|&c| c == 1));
-                    if let Some(min) = p.min_sets {
-                        prop_assert!(s.selected.len() >= min);
-                    }
-                    if let Some(max) = p.max_sets {
-                        prop_assert!(s.selected.len() <= max);
+        let presolved = p.solve_presolved();
+        match (brute, &presolved) {
+            (None, None) => {}
+            (Some(b), Some(s)) => {
+                prop_assert!(s.proven_optimal);
+                prop_assert!((s.cost - b).abs() < 1e-9, "presolved {} vs brute {}", s.cost, b);
+                // The reported cost matches the reported selection.
+                let recomputed: f64 = s.selected.iter().map(|&i| p.sets[i].1).sum();
+                prop_assert!((s.cost - recomputed).abs() < 1e-9);
+                let mut covered = vec![0u8; p.num_elements];
+                for &i in &s.selected {
+                    for &m in &p.sets[i].0 {
+                        covered[m] += 1;
                     }
                 }
-                (b, s) => prop_assert!(
-                    false,
-                    "{engine:?} feasibility disagreement: brute {b:?} vs presolved {s:?}"
-                ),
+                prop_assert!(covered.iter().all(|&c| c == 1));
+                if let Some(min) = p.min_sets {
+                    prop_assert!(s.selected.len() >= min);
+                }
+                if let Some(max) = p.max_sets {
+                    prop_assert!(s.selected.len() <= max);
+                }
             }
+            (b, s) => prop_assert!(
+                false,
+                "feasibility disagreement: brute {b:?} vs presolved {s:?}"
+            ),
         }
     }
 
     #[test]
     fn solutions_are_exact_covers(p in arb_problem()) {
-        if let Some(s) = p.solve(SolveEngine::Dlx) {
+        if let Some(s) = p.solve() {
             let mut covered = vec![0u8; p.num_elements];
             for &i in &s.selected {
                 for &m in &p.sets[i].0 {

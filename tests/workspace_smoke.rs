@@ -31,12 +31,12 @@ fn facade_constraints() {
 
 #[test]
 fn facade_solver() {
-    use gecco::solver::{SetPartitionProblem, SolveEngine};
+    use gecco::solver::SetPartitionProblem;
     let mut p = SetPartitionProblem::new(2);
     p.add_set(vec![0], 1.0);
     p.add_set(vec![1], 1.0);
     p.add_set(vec![0, 1], 1.5);
-    let s = p.solve(SolveEngine::Dlx).expect("feasible");
+    let s = p.solve().expect("feasible");
     assert!((s.cost - 1.5).abs() < 1e-9);
 }
 

@@ -114,9 +114,7 @@ pub fn run_gecco(log: &EventLog, dsl: &str, config: RunConfig) -> Result<Problem
 /// once per log, and materialized instances/verdicts are shared across
 /// candidates and constraint sets (the ROADMAP's "shared candidate cache").
 ///
-/// Both entry points call [`Gecco::run`], which since the pipeline-as-graph
-/// refactor drives the `gecco_core::graph` DAG executor — bit-identical to
-/// the linear oracle, so every number the harness reports is unchanged.
+/// Both entry points call [`Gecco::run`].
 pub fn run_gecco_shared(
     session: &LogSession<'_>,
     dsl: &str,

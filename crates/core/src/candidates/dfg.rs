@@ -45,8 +45,8 @@ impl Path {
     }
 }
 
-/// Observation hook for the per-iteration state (used to reproduce the
-/// paper's Figure 5).
+/// Observation hook for the per-iteration state, passed to
+/// [`crate::Gecco::run_observed`] to reproduce the paper's Figure 5.
 pub trait IterationObserver {
     /// Called once per iteration with the paths examined inside the beam
     /// and whether each one's group satisfied the constraints.

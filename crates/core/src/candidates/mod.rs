@@ -254,6 +254,36 @@ impl CandidateSet {
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
+
+    /// Adds `other`'s groups after this set's own (duplicates are dropped,
+    /// so the order stays deterministic) and sums its statistics into this
+    /// set's field by field — how several candidate sources, e.g. DFG and
+    /// session candidates, feed one selection.
+    pub fn union_with(&mut self, other: &CandidateSet) {
+        for &group in other.groups() {
+            self.insert(group);
+        }
+        // Destructured so that a new statistic cannot be left out.
+        let CandidateStats {
+            checked,
+            satisfied,
+            monotonic_shortcuts,
+            pruned_non_occurring,
+            pruned_by_sketch,
+            iterations,
+            budget_exhausted,
+            exclusive_candidates,
+        } = &other.stats;
+        let s = &mut self.stats;
+        s.checked += checked;
+        s.satisfied += satisfied;
+        s.monotonic_shortcuts += monotonic_shortcuts;
+        s.pruned_non_occurring += pruned_non_occurring;
+        s.pruned_by_sketch += pruned_by_sketch;
+        s.iterations += iterations;
+        s.budget_exhausted |= budget_exhausted;
+        s.exclusive_candidates += exclusive_candidates;
+    }
 }
 
 #[cfg(test)]
@@ -292,5 +322,53 @@ mod tests {
         assert!(!cs.insert(g));
         assert!(cs.contains(&g));
         assert_eq!(cs.len(), 1);
+    }
+
+    #[test]
+    fn union_keeps_order_dedupes_and_sums_every_stat() {
+        let stats = |k: usize| CandidateStats {
+            checked: k,
+            satisfied: k + 1,
+            monotonic_shortcuts: k + 2,
+            pruned_non_occurring: k + 3,
+            pruned_by_sketch: k + 4,
+            iterations: k + 5,
+            budget_exhausted: true,
+            exclusive_candidates: k + 6,
+        };
+        let (a, b, c) = (ClassId(0), ClassId(1), ClassId(2));
+        let mut left = CandidateSet::new();
+        left.insert(ClassSet::singleton(a));
+        left.insert(ClassSet::singleton(b));
+        left.stats = stats(10);
+        let mut right = CandidateSet::new();
+        right.insert(ClassSet::singleton(c));
+        right.insert(ClassSet::singleton(a));
+        right.stats = stats(100);
+
+        // Into an empty set, every statistic (the flag included) carries over.
+        let mut empty = CandidateSet::new();
+        empty.union_with(&right);
+        assert_eq!(empty.stats, right.stats);
+        assert_eq!(empty.groups(), right.groups());
+
+        left.union_with(&right);
+        assert_eq!(
+            left.groups(),
+            &[ClassSet::singleton(a), ClassSet::singleton(b), ClassSet::singleton(c)]
+        );
+        assert_eq!(
+            left.stats,
+            CandidateStats {
+                checked: 110,
+                satisfied: 112,
+                monotonic_shortcuts: 114,
+                pruned_non_occurring: 116,
+                pruned_by_sketch: 118,
+                iterations: 120,
+                budget_exhausted: true,
+                exclusive_candidates: 122,
+            }
+        );
     }
 }

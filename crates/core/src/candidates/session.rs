@@ -12,9 +12,9 @@
 //! against the DFG- or exhaustively-derived ones.
 //!
 //! The source is deliberately *not* a [`super::CandidateStrategy`]
-//! variant: it plugs into the pipeline as a graph node
-//! ([`crate::graph::SessionCandidateSourceNode`]), typically unioned with
-//! another source via [`crate::graph::UnionCandidatesNode`].
+//! variant: callers run [`session_candidates`] next to another source and
+//! merge the two with [`CandidateSet::union_with`] before selection (see
+//! `examples/session_candidates.rs`).
 
 use super::CandidateSet;
 use gecco_constraints::CompiledConstraintSet;
@@ -265,5 +265,50 @@ mod tests {
         assert_eq!(a.groups(), b.groups());
         let distinct: HashSet<_> = a.groups().iter().collect();
         assert_eq!(distinct.len(), a.len(), "no duplicates");
+    }
+
+    /// Session candidates composed with DFG candidates through the public
+    /// step functions: session ∪ DFG → select → abstract.
+    #[test]
+    fn session_and_dfg_sources_compose() {
+        use crate::abstraction::{abstract_log, activity_names, AbstractionStrategy};
+        use crate::candidates::dfg::{dfg_candidates, NoObserver};
+        use crate::candidates::Budget;
+        use crate::distance::DistanceOracle;
+        use crate::selection::{select_optimal, SelectionOptions};
+        use gecco_eventlog::Segmenter;
+
+        let log = burst_log();
+        let index = LogIndex::build(&log);
+        let ctx = EvalContext::new(&log, &index);
+        let compiled =
+            CompiledConstraintSet::compile(&ConstraintSet::parse("size(g) >= 1;").unwrap(), &log)
+                .unwrap();
+        let dfg = dfg_candidates(&ctx, &compiled, None, Budget::UNLIMITED, &mut NoObserver);
+        let session = session_candidates(&ctx, &compiled, &SessionConfig::gap(1_000));
+        let mut merged = dfg.clone();
+        merged.union_with(&session);
+        assert!(session.groups().iter().all(|g| merged.contains(g)));
+        assert_eq!(merged.stats.checked, dfg.stats.checked + session.stats.checked);
+
+        let oracle = DistanceOracle::new(&ctx, Segmenter::RepeatSplit);
+        let selection = select_optimal(
+            &log,
+            merged.groups(),
+            &oracle,
+            compiled.group_count_bounds(),
+            SelectionOptions::default(),
+        )
+        .expect("singletons make the instance feasible");
+        assert!(selection.grouping.is_exact_cover(&log));
+        let names = activity_names(&log, &selection.grouping, None);
+        let (abstracted, abstracted_index) = abstract_log(
+            &ctx,
+            &selection.grouping,
+            &names,
+            AbstractionStrategy::Completion,
+            Segmenter::RepeatSplit,
+        );
+        assert_eq!(abstracted_index, LogIndex::build(&abstracted), "spliced index == rebuild");
     }
 }

@@ -16,16 +16,15 @@
 //!    events by high-level activity instances (completion-only or
 //!    start+complete strategies, §V-D).
 //!
-//! [`pipeline::Gecco`] ties the steps together behind a builder API. Since
-//! the pipeline-as-graph refactor the builder's entry points are thin
-//! wrappers assembling default graphs over the [`graph`] module's DAG
-//! executor — custom topologies (extra candidate sources, fan-outs,
-//! diagnostics sinks) plug in as [`graph::GraphNode`]s.
+//! [`pipeline::Gecco`] runs the steps in that order behind a builder API;
+//! [`run_multipass`] chains runs and [`run_fanout`] compares constraint
+//! sets side by side. Other compositions — e.g. session-based candidates
+//! ([`candidates::session`]) unioned with DFG candidates — are written as
+//! plain calls to the public step functions.
 
 pub mod abstraction;
 pub mod candidates;
 pub mod distance;
-pub mod graph;
 pub mod grouping;
 pub mod parallel;
 pub mod pipeline;
@@ -38,8 +37,8 @@ pub use distance::{group_distance, group_distance_scan, grouping_distance, Dista
 pub use grouping::Grouping;
 pub use parallel::{parallel_enabled, set_parallel};
 pub use pipeline::{
-    run_fanout, run_multipass, run_multipass_linear, AbstractionResult, BranchOutcome, Gecco,
-    GeccoError, InfeasibilityReport, MultiPassResult, Outcome, PassReport,
+    run_fanout, run_multipass, AbstractionResult, BranchOutcome, Gecco, GeccoError,
+    InfeasibilityReport, MultiPassResult, Outcome, PassReport,
 };
 pub use selection::{
     select_optimal, select_optimal_colgen, solve_set_partition, solve_set_partition_stats,

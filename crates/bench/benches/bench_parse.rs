@@ -1,11 +1,13 @@
-//! Ingestion throughput: the seed (pre-chunking) parser vs the chunked
-//! pipeline, serial and parallel, on a generated multi-MB log.
+//! Ingestion throughput: the seed (pre-chunking) parser vs the live
+//! readers, serial and parallel, on a generated multi-MB log.
 //!
 //! `seed` is a frozen copy of the original char-level, String-allocating
 //! XML parser and XES reader (and the line-based CSV importer) as of the
 //! pre-pipeline tree — kept here, and only here, as the baseline this
-//! rewrite has to beat. `chunked_serial` / `chunked_rayon` run the live
-//! `gecco_eventlog` pipeline with the runtime parallelism toggle off / on.
+//! rewrite has to beat. For XES, `streaming_serial` / `streaming_rayon`
+//! run the live streaming reader (`xes::parse_str`); for CSV,
+//! `chunked_serial` / `chunked_rayon` run the live chunked importer; each
+//! with the runtime parallelism toggle off / on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gecco_datagen::loan_log;
@@ -722,7 +724,7 @@ fn bench_parse(c: &mut Criterion) {
     let text = xes::write_string(&log);
     let mb = text.len() as f64 / 1e6;
 
-    // Cross-check once: all three paths agree on the parsed structure.
+    // Cross-check once: seed and live reader agree on the parsed structure.
     let seed_parsed = seed::reader::parse_str(&text).expect("seed parser accepts the input");
     let live_parsed = xes::parse_str(&text).expect("pipeline accepts the input");
     assert_eq!(seed_parsed.num_events(), live_parsed.num_events());
@@ -735,11 +737,11 @@ fn bench_parse(c: &mut Criterion) {
         b.iter(|| seed::reader::parse_str(text).expect("valid"));
     });
     set_parallel(false);
-    group.bench_with_input("chunked_serial", &text, |b, text| {
+    group.bench_with_input("streaming_serial", &text, |b, text| {
         b.iter(|| xes::parse_str(text).expect("valid"));
     });
     set_parallel(true);
-    group.bench_with_input("chunked_rayon", &text, |b, text| {
+    group.bench_with_input("streaming_rayon", &text, |b, text| {
         b.iter(|| xes::parse_str(text).expect("valid"));
     });
     set_parallel(true);

@@ -14,11 +14,11 @@
 //! * trace [`variants`] and summary [`stats`],
 //! * a hand-rolled [XES](crate::xes) reader/writer (own zero-copy XML pull
 //!   parser — no external XML dependency) and a [CSV](crate::csv)
-//!   importer/exporter, both built as chunked pipelines: a byte-level
-//!   scanner splits the input, chunks parse into [`LogFragment`]s with
-//!   thread-local interners (chunk-parallel under the `rayon` feature,
-//!   see [`parallel`]), and a document-order merge makes the result
-//!   bit-identical to a serial parse.
+//!   importer/exporter. Both split the input with a byte-level scanner —
+//!   for XES a streaming one over a bounded window — parse chunks into
+//!   [`LogFragment`]s with thread-local interners (chunk-parallel under
+//!   the `rayon` feature, see [`parallel`]), and merge them in document
+//!   order, so the result is bit-identical to a serial parse.
 //!
 //! The crate is dependency-free and forms the bottom layer of the workspace.
 

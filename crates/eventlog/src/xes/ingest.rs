@@ -1,22 +1,24 @@
-//! Bounded-memory streaming ingestion: producer/consumer over the
-//! windowed scanner.
+//! Bounded-memory ingestion: producer/consumer over the windowed scanner.
+//! Every XES entry point runs through here — [`parse_reader`],
+//! [`crate::xes::parse_str`], [`crate::xes::parse_file`] and
+//! [`crate::store::ingest_to_store`].
 //!
-//! [`ingest_stream`] wires the pieces of the chunked pipeline into a
-//! streaming one: a producer thread drives [`StreamScanner`] over a
-//! [`Read`] source and hands out batches of owned trace chunks over a
-//! *bounded* queue, worker threads parse each batch into a
-//! [`LogFragment`] with a thread-local interner, and the consumer merges
-//! the results strictly in document order into a [`BatchSink`]. Because
-//! merging happens in document order — the same order a serial pass would
-//! produce — the resulting builder state is bit-identical to
-//! [`parse_bytes`](crate::xes::reader::parse_bytes) on the equivalent
-//! in-memory document, for any batch size and worker count.
+//! [`ingest_stream`] drives [`StreamScanner`] over a [`Read`] source and
+//! groups its trace chunks into batches of `batch_traces`. Serially it
+//! parses and merges each batch in turn. In parallel a producer thread
+//! scans and hands batches over a *bounded* queue to worker threads, which
+//! parse each batch into a [`LogFragment`] with a thread-local interner,
+//! and the consumer merges the results strictly in document order into a
+//! [`BatchSink`]. Because merging happens in document order — the same
+//! order a serial pass produces — the resulting builder state is
+//! bit-identical for any batch size, read-chunk size and worker count.
 //!
-//! Memory stays bounded by `queue_depth` batches of `batch_traces` traces
-//! plus the scanner window: the document text is never held whole. What
-//! the *sink* accumulates is its own business — [`LogBuilder`] keeps
-//! everything (the in-memory route), while the on-disk store
-//! ([`crate::store::StoreWriter`]) spills traces after every batch.
+//! Memory stays bounded by `2 × workers` in-flight batches per queue of
+//! `batch_traces` traces each, plus the scanner window: the document text
+//! is never held whole. What the *sink* accumulates is its own business —
+//! [`LogBuilder`] keeps everything (the in-memory route), while the
+//! on-disk store ([`crate::store::StoreWriter`]) spills traces after every
+//! batch.
 
 use crate::error::{Error, Result};
 use crate::log::{LogBuilder, LogFragment};
@@ -64,36 +66,22 @@ pub struct IngestOptions {
     pub batch_traces: usize,
     /// Refill granularity of the scanner window, in bytes.
     pub read_chunk: usize,
-    /// Maximum in-flight batches between producer and consumer; `0` means
-    /// twice the worker count.
-    pub queue_depth: usize,
 }
 
 impl Default for IngestOptions {
     fn default() -> Self {
-        IngestOptions { batch_traces: 512, read_chunk: DEFAULT_READ_CHUNK, queue_depth: 0 }
-    }
-}
-
-impl IngestOptions {
-    fn effective_queue_depth(&self, workers: usize) -> usize {
-        if self.queue_depth == 0 {
-            workers * 2
-        } else {
-            self.queue_depth
-        }
+        IngestOptions { batch_traces: 512, read_chunk: DEFAULT_READ_CHUNK }
     }
 }
 
 /// Streams an XES document from `source` into `sink` with bounded memory.
 ///
-/// Equivalent to parsing the whole document with
-/// [`parse_bytes`](crate::xes::reader::parse_bytes) into the sink's
-/// builder, bit for bit, but the document text is only ever held one
-/// window plus `queue_depth` batches at a time. Runs the producer /
-/// worker / consumer pipeline on scoped threads when parallel ingestion
-/// is enabled (`rayon` feature + [`crate::parallel::set_parallel`]), and
-/// a single-threaded loop otherwise — the result is identical either way.
+/// The document text is only ever held one scanner window plus the
+/// in-flight batches at a time. Runs the producer / worker / consumer
+/// pipeline on scoped threads when parallel ingestion is enabled (`rayon`
+/// feature + [`crate::parallel::set_parallel`]), and a single-threaded
+/// loop otherwise — the result is identical either way, and so is the
+/// error on bad input. Bytes after the closing `</log>` are not read.
 pub fn ingest_stream<R: Read + Send, S: BatchSink>(
     source: R,
     sink: &mut S,
@@ -190,7 +178,8 @@ fn ingest_parallel<R: Read + Send, S: BatchSink>(
     options: &IngestOptions,
     workers: usize,
 ) -> Result<()> {
-    let queue_depth = options.effective_queue_depth(workers).max(1);
+    // At most this many batches wait in each queue: what bounds memory.
+    let queue_depth = 2 * workers;
     let batch_traces = options.batch_traces.max(1);
     let (work_tx, work_rx) = sync_channel::<(u64, Work)>(queue_depth);
     let (done_tx, done_rx) = sync_channel::<(u64, Result<Parsed>)>(queue_depth);
@@ -294,6 +283,40 @@ fn consume<S: BatchSink>(done_rx: Receiver<(u64, Result<Parsed>)>, sink: &mut S)
 mod tests {
     use super::*;
     use crate::xes::reader::parse_str;
+    use crate::xes::scan::oracle::{scan_document, Segment};
+    use crate::xes::stream::tests::{Dribble, Fault};
+    use crate::xes::xml::line_at;
+    use std::time::Duration;
+
+    /// The whole-document route: one scan of the in-memory document, then
+    /// every segment parsed in order, one fragment per trace. It shares the
+    /// segment parsers with the streaming route but neither its window
+    /// machine nor its batching.
+    fn whole_document_parse(doc: &str) -> Result<EventLog> {
+        let input = doc.as_bytes();
+        let mut builder = LogBuilder::new();
+        for segment in scan_document(input)? {
+            match segment {
+                Segment::Log(r) => parse_log_segment(&mut builder, &input[r.clone()])
+                    .map_err(|e| shift_lines(e, line_at(input, r.start) - 1))?,
+                Segment::Trace(r) => {
+                    let mut fragment = LogFragment::new();
+                    parse_trace_into(&mut fragment, &input[r.clone()])
+                        .map_err(|e| shift_lines(e, line_at(input, r.start) - 1))?;
+                    builder.merge_fragment(fragment)?;
+                }
+            }
+        }
+        Ok(builder.build())
+    }
+
+    fn assert_same_log(got: &EventLog, expect: &EventLog, context: &str) {
+        assert_eq!(got.traces(), expect.traces(), "{context}");
+        assert_eq!(got.attributes(), expect.attributes(), "{context}");
+        let a: Vec<_> = got.interner().iter().collect();
+        let b: Vec<_> = expect.interner().iter().collect();
+        assert_eq!(a, b, "{context}");
+    }
 
     const DOC: &str = r#"<?xml version="1.0"?>
 <log xes.version="1.0">
@@ -313,17 +336,13 @@ mod tests {
 
     #[test]
     fn streamed_log_matches_in_memory_parse() {
-        let expect = parse_str(DOC).unwrap();
+        let expect = whole_document_parse(DOC).unwrap();
+        assert_same_log(&parse_str(DOC).unwrap(), &expect, "parse_str");
         for batch_traces in [1, 2, 7] {
             for read_chunk in [3, 64, 1 << 20] {
-                let options =
-                    IngestOptions { batch_traces, read_chunk, ..IngestOptions::default() };
+                let options = IngestOptions { batch_traces, read_chunk };
                 let got = parse_reader(DOC.as_bytes(), &options).unwrap();
-                assert_eq!(got.traces(), expect.traces());
-                assert_eq!(got.attributes(), expect.attributes());
-                let a: Vec<_> = got.interner().iter().collect();
-                let b: Vec<_> = expect.interner().iter().collect();
-                assert_eq!(a, b, "batch {batch_traces} chunk {read_chunk}");
+                assert_same_log(&got, &expect, &format!("batch {batch_traces} chunk {read_chunk}"));
             }
         }
     }
@@ -334,7 +353,8 @@ mod tests {
         let doc = "<?xml version=\"1.0\"?>\n<log>\n<trace>\n<event>\
                    <string key=\"concept:name\" value=\"a\"/></event>\n</trace>\n<trace>\n\
                    <event><string key=\"concept:name\"/></event>\n</trace>\n</log>";
-        let expect = parse_str(doc).unwrap_err().to_string();
+        let expect = whole_document_parse(doc).unwrap_err().to_string();
+        assert_eq!(parse_str(doc).unwrap_err().to_string(), expect);
         let got = parse_reader(
             doc.as_bytes(),
             &IngestOptions { read_chunk: 5, ..IngestOptions::default() },
@@ -343,5 +363,68 @@ mod tests {
         .to_string();
         assert_eq!(got, expect);
         assert!(got.contains("line 7"), "got: {got}");
+    }
+
+    /// A document long enough to fill both queues many times at
+    /// `batch_traces: 1`.
+    fn long_doc() -> String {
+        let mut doc = String::from("<log>\n<string key=\"concept:name\" value=\"long\"/>\n");
+        for i in 0..2_000 {
+            doc.push_str(&format!(
+                "<trace><string key=\"concept:name\" value=\"c{i}\"/>\
+                 <event><string key=\"concept:name\" value=\"a{}\"/></event></trace>\n",
+                i % 7
+            ));
+        }
+        doc.push_str("</log>\n");
+        doc
+    }
+
+    /// Runs the serial route and the three-worker producer / worker /
+    /// consumer route over a faulty reader, each on a helper thread under
+    /// a 30 s watchdog (the pattern of `tests/ingest_error_terminates.rs`).
+    fn both_routes_with_fault(doc: &str, fault: Fault) -> [Result<EventLog>; 2] {
+        [false, true].map(|parallel| {
+            let doc = doc.to_owned();
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let source = Dribble::new(doc.as_bytes(), 5, fault);
+                let options = IngestOptions { batch_traces: 1, read_chunk: 7 };
+                let mut builder = LogBuilder::new();
+                let res = if parallel {
+                    ingest_parallel(source, &mut builder, &options, 3)
+                } else {
+                    ingest_serial(source, &mut builder, &options)
+                };
+                // The receiver is gone only if the watchdog already fired.
+                let _ = tx.send(res.map(|()| builder.build()));
+            });
+            rx.recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("ingest (parallel: {parallel}) hung on {fault:?}"))
+        })
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried_on_both_routes() {
+        let doc = long_doc();
+        let one_window = parse_reader(
+            doc.as_bytes(),
+            &IngestOptions { read_chunk: doc.len(), ..IngestOptions::default() },
+        )
+        .unwrap();
+        for got in both_routes_with_fault(&doc, Fault::InterruptEveryOther) {
+            assert_same_log(&got.unwrap(), &one_window, "interrupted reads");
+        }
+    }
+
+    #[test]
+    fn a_read_error_aborts_both_routes() {
+        let doc = long_doc();
+        for k in [0, 40, doc.len() / 2, doc.len() - 8] {
+            for got in both_routes_with_fault(&doc, Fault::ErrorAt(k)) {
+                let err = got.expect_err("a read error must surface");
+                assert!(matches!(err, Error::Io(_)), "byte {k}: {err}");
+            }
+        }
     }
 }

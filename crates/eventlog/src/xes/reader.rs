@@ -1,133 +1,42 @@
-//! XES deserialization into an [`EventLog`] — a chunked two-stage pipeline.
-//!
-//! Stage one ([`crate::xes::scan`]) splits the raw bytes into log-level
-//! segments and per-`<trace>` chunks. Stage two groups contiguous chunks
-//! into per-worker *batches*, parses each batch into one [`LogFragment`]
-//! with a thread-local interner — chunk-parallel under the `rayon` feature
-//! — and [`LogBuilder::merge_fragment`] folds the fragments back in
-//! document order, interleaved with the serially parsed log-level
-//! segments. Batches never span a log-level segment, so the merge order
-//! makes the result bit-identical to a serial single-pass parse no matter
-//! how many workers ran or where batch boundaries fell
-//! (`tests/ingest_equivalence.rs`).
+//! XES deserialization into an [`EventLog`]: the per-segment parsers
+//! that [`ingest_stream`](crate::xes::ingest::ingest_stream) runs on the
+//! log-level segments and trace chunks
+//! [`StreamScanner`](crate::xes::stream::StreamScanner) cuts, and the
+//! entry points [`parse_str`] and [`parse_file`] — that same route over a
+//! string and over an open file.
 
 use crate::error::{Error, Result};
 use crate::log::{EventLog, FragmentTrace, LogBuilder, LogFragment};
-use crate::parallel;
 use crate::time::parse_iso8601;
 use crate::value::AttributeValue;
-use crate::xes::scan::{scan_document, Segment};
-use crate::xes::xml::{line_at, XmlEvent, XmlParser};
+use crate::xes::ingest::{parse_reader, IngestOptions};
+use crate::xes::xml::{XmlEvent, XmlParser};
 use std::borrow::Cow;
-use std::ops::Range;
 
 /// Log-level attribute key under which class-level attributes are persisted
 /// (nested-attribute convention, see [`crate::xes::writer`]).
 pub const CLASS_ATTR_KEY: &str = "gecco:classattr";
 
-/// Minimum number of trace chunks in a run before it is split into more
-/// than one batch; below this the per-worker setup costs more than the
-/// serial loop.
-const MIN_PARALLEL_CHUNKS: usize = 16;
-
-/// Parses an XES document from a string.
+/// Parses an XES document from a string, through the same streaming
+/// route as [`parse_file`].
 pub fn parse_str(input: &str) -> Result<EventLog> {
-    parse_bytes(input.as_bytes())
+    parse_reader(input.as_bytes(), &IngestOptions::default())
 }
 
-/// Groups the trace chunks into batches of contiguous chunks, one
-/// [`LogFragment`] each. A *run* is a maximal sequence of trace segments
-/// with no log-level segment in between; runs are split into at most
-/// `worker_count` batches so per-fragment overhead (interner, remap table)
-/// scales with the worker count, not the trace count. Batches never cross
-/// a log-level segment — that keeps the document-order merge exact.
-fn make_batches(segments: &[Segment]) -> Vec<Vec<Range<usize>>> {
-    let workers = parallel::worker_count().max(1);
-    let mut batches: Vec<Vec<Range<usize>>> = Vec::new();
-    let mut run: Vec<Range<usize>> = Vec::new();
-    let flush = |run: &mut Vec<Range<usize>>, batches: &mut Vec<Vec<Range<usize>>>| {
-        if run.is_empty() {
-            return;
-        }
-        let pieces = if run.len() < MIN_PARALLEL_CHUNKS { 1 } else { workers };
-        let batch_size = run.len().div_ceil(pieces).max(1);
-        let mut rest = std::mem::take(run);
-        while !rest.is_empty() {
-            let tail = rest.split_off(batch_size.min(rest.len()));
-            batches.push(rest);
-            rest = tail;
-        }
-    };
-    for segment in segments {
-        match segment {
-            Segment::Trace(r) => run.push(r.clone()),
-            Segment::Log(_) => flush(&mut run, &mut batches),
-        }
-    }
-    flush(&mut run, &mut batches);
-    batches
-}
-
-/// Parses an XES document from raw bytes — the zero-copy entry point with
-/// **no** up-front UTF-8 validation pass: names are validated lazily and
-/// attribute values / text are decoded lossily exactly where they are
-/// read, so invalid bytes in values become U+FFFD. Callers that need
-/// whole-document validation (like [`parse_file`]) should validate first.
-pub fn parse_bytes(input: &[u8]) -> Result<EventLog> {
-    let doc = scan_document(input)?;
-    let batches = make_batches(&doc.segments);
-    let fragments = parallel::par_map(&batches, 2, |ranges| parse_trace_batch(input, ranges));
-
-    let mut builder = LogBuilder::new();
-    let mut next_batch = fragments.into_iter().zip(&batches);
-    // Trace segments already covered by the batch merged last.
-    let mut covered = 0usize;
-    for segment in &doc.segments {
-        match segment {
-            Segment::Log(r) => parse_log_segment(&mut builder, &input[r.clone()])
-                .map_err(|e| rebase_lines(e, input, r.start))?,
-            Segment::Trace(_) => {
-                if covered > 0 {
-                    covered -= 1;
-                    continue;
-                }
-                let (fragment, ranges) =
-                    next_batch.next().expect("one batch per run of trace segments");
-                builder.merge_fragment(fragment?)?;
-                covered = ranges.len() - 1;
-            }
-        }
-    }
-    Ok(builder.build())
-}
-
-/// Parses an XES file from disk. Reads raw bytes and validates them as
-/// UTF-8 in place — rejecting Latin-1 or corrupted files loudly, exactly
-/// like the importer always did (and like [`crate::csv::read_file`] still
-/// does) — then runs the chunked pipeline. The validation is a single
-/// cheap scan; unlike `read_to_string` there is no intermediate `String`
-/// and the parse itself stays zero-copy over the byte buffer.
+/// Parses an XES file from disk: [`parse_reader`] over the open file, so
+/// the document text is never held whole.
+///
+/// The file must be UTF-8. A Latin-1 or corrupted file is rejected with
+/// the line of its first invalid byte (like [`crate::csv::read_file`]),
+/// never imported with U+FFFD in its strings. Bytes after the closing
+/// `</log>` are not read, on this or any other route, so they are
+/// neither parsed nor checked.
 pub fn parse_file(path: impl AsRef<std::path::Path>) -> Result<EventLog> {
-    let contents = std::fs::read(path)?;
-    if let Err(e) = std::str::from_utf8(&contents) {
-        return Err(Error::Xml {
-            line: line_at(&contents, e.valid_up_to()),
-            message: "file is not valid UTF-8".into(),
-        });
-    }
-    parse_bytes(&contents)
+    parse_reader(std::fs::File::open(path)?, &IngestOptions::default())
 }
 
-/// Shifts chunk-relative line numbers in an error to document-absolute
-/// ones. Only computed on the error path, so the happy path never counts
-/// newlines.
-fn rebase_lines(err: Error, input: &[u8], chunk_start: usize) -> Error {
-    shift_lines(err, line_at(input, chunk_start) - 1)
-}
-
-/// Adds `base` lines to the positions in an error. The streaming path uses
-/// this directly: it knows each chunk's document-absolute start line from
-/// the window scanner instead of recounting the (long gone) document.
+/// Adds `base` lines to the positions in an error, turning a line relative
+/// to one chunk or window into a document-absolute one.
 pub(crate) fn shift_lines(err: Error, base: usize) -> Error {
     match err {
         Error::Xml { line, message } => Error::Xml { line: line + base, message },
@@ -224,7 +133,7 @@ fn skip_subtree(parser: &mut XmlParser<'_>) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Stage two, log-level segments (serial).
+// Log-level segments (serial).
 // ---------------------------------------------------------------------------
 
 /// Parses one log-level segment — typed log attributes, extensions,
@@ -317,21 +226,8 @@ fn intern_value(builder: &mut LogBuilder, raw: RawValue<'_>) -> AttributeValue {
 }
 
 // ---------------------------------------------------------------------------
-// Stage two, trace batches (parallel under the `rayon` feature).
+// Trace chunks (parsed in batches, in parallel under the `rayon` feature).
 // ---------------------------------------------------------------------------
-
-/// Parses one batch of contiguous trace chunks into a single
-/// [`LogFragment`]: one thread-local interner and one eventual remap table
-/// for the whole batch instead of per trace. Errors come back with
-/// document-absolute line numbers.
-fn parse_trace_batch(input: &[u8], ranges: &[Range<usize>]) -> Result<LogFragment> {
-    let mut fragment = LogFragment::new();
-    for range in ranges {
-        parse_trace_into(&mut fragment, &input[range.clone()])
-            .map_err(|e| rebase_lines(e, input, range.start))?;
-    }
-    Ok(fragment)
-}
 
 /// Parses one `<trace>…</trace>` chunk into the batch fragment, interning
 /// strings into the fragment's thread-local interner as they are read —
@@ -582,16 +478,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_bytes_accepts_raw_bytes() {
-        let log = parse_bytes(SAMPLE.as_bytes()).unwrap();
-        assert_eq!(log.num_events(), 3);
-    }
-
-    #[test]
     fn parse_file_rejects_invalid_utf8() {
-        // parse_bytes is documented as lossy, but parse_file must keep the
-        // old read_to_string behavior: a Latin-1 / corrupted file errors
-        // instead of importing with U+FFFD mojibake.
+        // A Latin-1 / corrupted file errors instead of importing with
+        // U+FFFD mojibake.
         let dir = std::env::temp_dir().join("gecco-xes-utf8-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("latin1.xes");

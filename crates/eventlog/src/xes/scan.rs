@@ -1,44 +1,26 @@
-//! Byte-level document scanner: stage one of the chunked XES pipeline.
+//! Byte-level tag scanner: the tokenizer under the streaming XES reader.
 //!
-//! [`scan_document`] splits an XES document into *segments* without
-//! building a single string: byte ranges of log-level content (attributes,
-//! extensions, `gecco:classattr` wrappers, …) interleaved, in document
-//! order, with byte ranges that each cover one complete
-//! `<trace>…</trace>` subtree. Trace segments can then be parsed into
-//! [`crate::log::LogFragment`]s independently — and in parallel — while the
-//! (tiny) log-level segments are parsed serially, and everything is merged
-//! back in document order so the result is identical to a single serial
-//! pass.
+//! [`Scanner`] finds tag boundaries in a byte window without building a
+//! single string. It is a deliberately shallow tokenizer: it understands
+//! only enough XML to tell where a construct ends — quoted attribute
+//! values (a `>` inside quotes does not end a tag), comments, CDATA
+//! sections, processing instructions and DOCTYPE declarations (a
+//! `</trace>` inside any of those is not a real end tag). Everything else
+//! — attribute decoding, name validation, well-formedness *within* a
+//! trace — is left to the real parser in [`crate::xes::reader`].
 //!
-//! The scanner is a deliberately shallow tokenizer: it only understands
-//! enough XML to find tag boundaries — quoted attribute values (a `>`
-//! inside quotes does not end a tag), comments, CDATA sections, processing
-//! instructions and DOCTYPE declarations (a `</trace>` inside any of those
-//! is not a real end tag). Everything else — attribute decoding, name
-//! validation, well-formedness *within* a chunk — is left to the real
-//! parser in stage two.
+//! [`crate::xes::stream::StreamScanner`] drives the scanner over a sliding
+//! window (`at_eof == false`), so a construct cut off by the window edge
+//! comes back as [`Step::Incomplete`] instead of an error.
+//!
+//! The test-only `oracle` module keeps the whole-document scan
+//! (`scan_document`, `at_eof == true`) that splits an in-memory document
+//! into the same log-level and per-trace segments in one call. No
+//! production route uses it: it is the independent reference the
+//! streaming scanner's window-size and error tests compare against.
 
 use crate::error::{Error, Result};
 use crate::xes::xml::{line_at, skip_markup_decl, skip_past, take_name_bytes};
-use std::ops::Range;
-
-/// One document-order piece of the `<log>` body.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Segment {
-    /// Log-level content between traces: typed attributes, extensions,
-    /// classifiers, `gecco:classattr` wrappers. Parsed serially.
-    Log(Range<usize>),
-    /// One complete `<trace …>…</trace>` (or self-closing `<trace/>`)
-    /// subtree. Parsed independently per chunk.
-    Trace(Range<usize>),
-}
-
-/// The result of [`scan_document`]: the log body split into segments.
-#[derive(Debug, Clone, Default)]
-pub struct ScannedDocument {
-    /// Segments of the `<log>` body in document order.
-    pub segments: Vec<Segment>,
-}
 
 /// What the shallow tokenizer saw at one `<…>` construct.
 pub(crate) enum RawTag<'a> {
@@ -50,10 +32,9 @@ pub(crate) enum RawTag<'a> {
 /// document: either the construct completed inside the window, or the
 /// window ended first and the caller must refill and rescan.
 ///
-/// When [`Scanner::at_eof`] is `true` (the whole-document mode used by
-/// [`scan_document`]), `Incomplete` is never produced — every truncated
-/// construct is a hard error instead, exactly as before the streaming
-/// refactor.
+/// When [`Scanner::at_eof`] is `true` (the final window of a stream, or
+/// the whole-document scan of the test oracle), `Incomplete` is never
+/// produced — every truncated construct is a hard error instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step<T> {
     Done(T),
@@ -88,15 +69,6 @@ impl<'a> Scanner<'a> {
 
     fn starts_with(&self, s: &[u8]) -> bool {
         self.input[self.pos..].starts_with(s)
-    }
-
-    /// Unwraps a step produced in whole-document mode, where `Incomplete`
-    /// is unreachable.
-    fn complete<T>(step: Step<T>) -> T {
-        match step {
-            Step::Done(v) => v,
-            Step::Incomplete => unreachable!("Step::Incomplete with at_eof"),
-        }
     }
 
     /// Advances to (and over) the byte sequence `until`; shares
@@ -232,88 +204,112 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// Scans a document into log-level segments and per-trace chunks.
-///
-/// Errors mirror the serial parser: a missing `<log>` root is an XES error,
-/// unterminated constructs are XML errors. Structural problems *inside* a
-/// chunk (mismatched tags, bad attributes) are intentionally not detected
-/// here — stage two reports them with document-accurate line numbers.
-pub fn scan_document(input: &[u8]) -> Result<ScannedDocument> {
-    let mut scanner = Scanner { input, pos: 0, at_eof: true };
-    // Find the root <log>, skipping any other top-level subtrees (the
-    // serial parser accepted and ignored them).
-    loop {
-        match Scanner::complete(scanner.next_tag()?) {
-            Some((_, RawTag::Start { name: b"log", self_closing })) => {
-                if self_closing {
-                    return Ok(ScannedDocument::default());
-                }
-                break;
-            }
-            Some((_, RawTag::Start { self_closing, .. })) => {
-                if !self_closing {
-                    Scanner::complete(scanner.skip_subtree()?);
-                }
-            }
-            Some((_, RawTag::End { .. })) => {
-                return Err(Error::Xes {
-                    line: line_at(input, scanner.pos),
-                    message: "no <log> element found".into(),
-                })
-            }
-            None => {
-                return Err(Error::Xes {
-                    line: line_at(input, scanner.pos),
-                    message: "no <log> element found".into(),
-                })
-            }
+/// The whole-document scan: the reference the streaming scanner is
+/// tested against, over the same [`Scanner`] with `at_eof == true`.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{RawTag, Scanner, Step};
+    use crate::error::{Error, Result};
+    use crate::xes::xml::line_at;
+    use std::ops::Range;
+
+    /// One document-order piece of the `<log>` body.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) enum Segment {
+        /// Log-level content between traces: typed attributes, extensions,
+        /// classifiers, `gecco:classattr` wrappers.
+        Log(Range<usize>),
+        /// One complete `<trace …>…</trace>` (or self-closing `<trace/>`)
+        /// subtree.
+        Trace(Range<usize>),
+    }
+
+    /// Unwraps a step produced in whole-document mode, where `Incomplete`
+    /// is unreachable.
+    fn complete<T>(step: Step<T>) -> T {
+        match step {
+            Step::Done(v) => v,
+            Step::Incomplete => unreachable!("Step::Incomplete with at_eof"),
         }
     }
-    let mut segments = Vec::new();
-    let mut log_seg_start = scanner.pos;
-    // Pushes the pending log-level range [log_seg_start, end) unless it is
-    // pure inter-element whitespace.
-    let push_log_segment = |segments: &mut Vec<Segment>, start: usize, end: usize| {
-        if input[start..end].iter().any(|b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n')) {
-            segments.push(Segment::Log(start..end));
-        }
-    };
-    let mut depth = 1usize; // inside <log>
-    loop {
-        match Scanner::complete(scanner.next_tag()?) {
-            Some((tag_start, RawTag::Start { name, self_closing })) => {
-                if depth == 1 && name == b"trace" {
-                    push_log_segment(&mut segments, log_seg_start, tag_start);
+
+    /// Scans a whole in-memory document into log-level segments and
+    /// per-trace chunks.
+    ///
+    /// Errors mirror the streaming scanner: a missing `<log>` root is an
+    /// XES error, unterminated constructs are XML errors. Structural
+    /// problems *inside* a chunk (mismatched tags, bad attributes) are
+    /// intentionally not detected here — the reader reports them.
+    pub(crate) fn scan_document(input: &[u8]) -> Result<Vec<Segment>> {
+        let mut scanner = Scanner { input, pos: 0, at_eof: true };
+        // Find the root <log>, skipping any other top-level subtrees.
+        loop {
+            match complete(scanner.next_tag()?) {
+                Some((_, RawTag::Start { name: b"log", self_closing })) => {
+                    if self_closing {
+                        return Ok(Vec::new());
+                    }
+                    break;
+                }
+                Some((_, RawTag::Start { self_closing, .. })) => {
                     if !self_closing {
-                        Scanner::complete(scanner.skip_subtree()?);
+                        complete(scanner.skip_subtree()?);
                     }
-                    segments.push(Segment::Trace(tag_start..scanner.pos));
-                    log_seg_start = scanner.pos;
-                } else if !self_closing {
-                    depth += 1;
+                }
+                Some((_, RawTag::End { .. })) | None => {
+                    return Err(Error::Xes {
+                        line: line_at(input, scanner.pos),
+                        message: "no <log> element found".into(),
+                    })
                 }
             }
-            Some((tag_start, RawTag::End { name })) => {
-                depth -= 1;
-                if depth == 0 {
-                    if name != b"log" {
-                        return Err(Error::Xml {
-                            line: line_at(input, tag_start),
-                            message: format!(
-                                "mismatched `</{}>`; expected `</log>`",
-                                String::from_utf8_lossy(name)
-                            ),
-                        });
-                    }
-                    push_log_segment(&mut segments, log_seg_start, tag_start);
-                    return Ok(ScannedDocument { segments });
-                }
+        }
+        let mut segments = Vec::new();
+        let mut log_seg_start = scanner.pos;
+        // Pushes the pending log-level range [log_seg_start, end) unless
+        // it is pure inter-element whitespace.
+        let push_log_segment = |segments: &mut Vec<Segment>, start: usize, end: usize| {
+            if input[start..end].iter().any(|b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n')) {
+                segments.push(Segment::Log(start..end));
             }
-            None => {
-                return Err(Error::Xml {
-                    line: line_at(input, scanner.pos),
-                    message: "unexpected end of input; `<log>` not closed".into(),
-                })
+        };
+        let mut depth = 1usize; // inside <log>
+        loop {
+            match complete(scanner.next_tag()?) {
+                Some((tag_start, RawTag::Start { name, self_closing })) => {
+                    if depth == 1 && name == b"trace" {
+                        push_log_segment(&mut segments, log_seg_start, tag_start);
+                        if !self_closing {
+                            complete(scanner.skip_subtree()?);
+                        }
+                        segments.push(Segment::Trace(tag_start..scanner.pos));
+                        log_seg_start = scanner.pos;
+                    } else if !self_closing {
+                        depth += 1;
+                    }
+                }
+                Some((tag_start, RawTag::End { name })) => {
+                    depth -= 1;
+                    if depth == 0 {
+                        if name != b"log" {
+                            return Err(Error::Xml {
+                                line: line_at(input, tag_start),
+                                message: format!(
+                                    "mismatched `</{}>`; expected `</log>`",
+                                    String::from_utf8_lossy(name)
+                                ),
+                            });
+                        }
+                        push_log_segment(&mut segments, log_seg_start, tag_start);
+                        return Ok(segments);
+                    }
+                }
+                None => {
+                    return Err(Error::Xml {
+                        line: line_at(input, scanner.pos),
+                        message: "unexpected end of input; `<log>` not closed".into(),
+                    })
+                }
             }
         }
     }
@@ -321,10 +317,10 @@ pub fn scan_document(input: &[u8]) -> Result<ScannedDocument> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::oracle::{scan_document, Segment};
 
     fn segs(doc: &str) -> Vec<Segment> {
-        scan_document(doc.as_bytes()).unwrap().segments
+        scan_document(doc.as_bytes()).unwrap()
     }
 
     #[test]
@@ -384,8 +380,8 @@ mod tests {
 
     #[test]
     fn self_closing_log_is_empty() {
-        assert_eq!(scan_document(b"<log/>").unwrap().segments.len(), 0);
-        assert_eq!(scan_document(b"<?xml version=\"1.0\"?><log></log>").unwrap().segments.len(), 0);
+        assert_eq!(scan_document(b"<log/>").unwrap().len(), 0);
+        assert_eq!(scan_document(b"<?xml version=\"1.0\"?><log></log>").unwrap().len(), 0);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Incremental document scanner over any [`Read`] source.
+//! Incremental document scanner over any [`Read`] source — the first
+//! stage of every XES ingest route.
 //!
-//! [`StreamScanner`] is the bounded-memory sibling of
-//! [`scan_document`](crate::xes::scan::scan_document): instead of requiring
-//! the whole document as one byte slice, it keeps a sliding window over a
-//! [`Read`] source and yields the same document-order pieces — log-level
-//! segments and complete `<trace>…</trace>` subtrees — as *owned* byte
-//! buffers, each stamped with the document-absolute line of its first byte
-//! so stage-two parse errors keep accurate positions.
+//! [`StreamScanner`] keeps a sliding window over a [`Read`] source and
+//! splits the document into document-order pieces — log-level segments
+//! and complete `<trace>…</trace>` subtrees — as *owned* byte buffers,
+//! each stamped with the document-absolute line of its first byte so
+//! parse errors in [`crate::xes::reader`] keep accurate positions.
 //!
 //! The window machine is rescan-based: each attempt tokenizes from the
 //! last committed byte with the crate-private `Scanner` in partial-window
@@ -16,28 +15,32 @@
 //! total rescan work stays linear in the document size, and the committed
 //! prefix is compacted away on every refill, so peak memory is bounded by
 //! the read chunk plus the largest single construct (one trace).
+//!
+//! Every committed byte is checked to be UTF-8 as it is committed: a
+//! committed range starts and ends next to a `<` or `>`, so it holds whole
+//! characters, and an invalid file fails with the line of its first bad
+//! byte on every route. Bytes after `</log>` are never read.
 
 use crate::error::{Error, Result};
+use crate::xes::reader::shift_lines;
 use crate::xes::scan::{RawTag, Scanner, Step};
 use crate::xes::xml::line_at;
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 
 /// One owned, document-order piece of the log: the bytes of the construct
 /// plus the 1-based document line of its first byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OwnedSegment {
     /// The raw bytes of the construct, exactly as they appeared in the
-    /// document (same byte ranges [`scan_document`] would report).
-    ///
-    /// [`scan_document`]: crate::xes::scan::scan_document
+    /// document.
     pub bytes: Vec<u8>,
     /// 1-based line of `bytes[0]` in the whole document, for rebasing
-    /// stage-two parse errors to document-absolute positions.
+    /// parse errors to document-absolute positions.
     pub line: usize,
 }
 
-/// What [`StreamScanner::next_item`] yields: the streaming counterpart of
-/// [`Segment`](crate::xes::scan::Segment), with owned bytes.
+/// What [`StreamScanner::next_item`] yields: one document-order piece of
+/// the `<log>` body, with owned bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamItem {
     /// Log-level content between traces (attributes, extensions,
@@ -55,9 +58,7 @@ enum StreamState {
     /// Inside the `<log>` body, at depth 1, at a segment boundary.
     Body,
     /// The root element was closed (or was self-closing). Trailing bytes
-    /// after `</log>` are not read, matching [`scan_document`].
-    ///
-    /// [`scan_document`]: crate::xes::scan::scan_document
+    /// after `</log>` are not read.
     Done,
 }
 
@@ -157,17 +158,30 @@ impl<R: Read> StreamScanner<R> {
 
     /// Commits `rel` more bytes of the window, keeping the newline count
     /// in sync and resetting the refill growth (progress was made).
-    fn advance(&mut self, rel: usize) {
+    ///
+    /// The committed bytes must be UTF-8. Every commit ends next to a `<`
+    /// or `>`, never inside a character, so checking each range on its
+    /// own checks the whole document read so far.
+    fn advance(&mut self, rel: usize) -> Result<()> {
         let end = self.consumed + rel;
-        self.nl_before += count_newlines(&self.buf[self.consumed..end]);
+        let committed = &self.buf[self.consumed..end];
+        if let Err(e) = std::str::from_utf8(committed) {
+            return Err(Error::Xml {
+                line: self.nl_before + line_at(committed, e.valid_up_to()),
+                message: "file is not valid UTF-8".into(),
+            });
+        }
+        self.nl_before += count_newlines(committed);
         self.consumed = end;
         self.refill = self.read_chunk;
+        Ok(())
     }
 
     /// Drops the committed prefix and reads `self.refill` more bytes. At
     /// EOF this is a no-op: the next scan attempt runs with
     /// `at_eof == true`, which turns `Incomplete` into hard errors, so the
-    /// refill loop always terminates.
+    /// refill loop always terminates. A read interrupted by a signal is
+    /// retried, as `std::fs::read` does; any other read error aborts.
     fn fill(&mut self) -> Result<()> {
         if self.consumed > 0 {
             self.buf.drain(..self.consumed);
@@ -180,11 +194,16 @@ impl<R: Read> StreamScanner<R> {
         while self.buf.len() < target {
             let start = self.buf.len();
             self.buf.resize(target, 0);
-            let n = self.source.read(&mut self.buf[start..]).map_err(Error::from)?;
-            self.buf.truncate(start + n);
-            if n == 0 {
-                self.eof = true;
-                break;
+            let read = self.source.read(&mut self.buf[start..]);
+            self.buf.truncate(start + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(0) => {
+                    self.eof = true;
+                    break;
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
             }
         }
         // Still mid-construct next attempt? Ask for twice as much then.
@@ -194,11 +213,7 @@ impl<R: Read> StreamScanner<R> {
 
     /// Shifts a window-relative scanner error to document-absolute lines.
     fn rebase(&self, err: Error) -> Error {
-        match err {
-            Error::Xml { line, message } => Error::Xml { line: line + self.nl_before, message },
-            Error::Xes { line, message } => Error::Xes { line: line + self.nl_before, message },
-            other => other,
-        }
+        shift_lines(err, self.nl_before)
     }
 
     /// 1-based document line of window-relative offset `rel`.
@@ -239,7 +254,7 @@ impl<R: Read> StreamScanner<R> {
                 }
             }
         };
-        self.advance(committed);
+        self.advance(committed)?;
         if matches!(outcome, Attempt::Continue) {
             self.state = StreamState::Body;
         }
@@ -301,7 +316,7 @@ impl<R: Read> StreamScanner<R> {
         let mut items = Vec::new();
         match hit {
             Hit::Trace { start, end } => {
-                if let Some(seg) = self.take_log_segment(start) {
+                if let Some(seg) = self.take_log_segment(start)? {
                     items.push(StreamItem::Log(seg));
                 }
                 // `take_log_segment` advanced `consumed` to the trace
@@ -309,15 +324,15 @@ impl<R: Read> StreamScanner<R> {
                 let len = end - start;
                 let line = self.nl_before + 1;
                 let bytes = self.buf[self.consumed..self.consumed + len].to_vec();
-                self.advance(len);
+                self.advance(len)?;
                 items.push(StreamItem::Trace(OwnedSegment { bytes, line }));
                 Ok(Attempt::Items(items))
             }
             Hit::Close { tag_start, end } => {
-                if let Some(seg) = self.take_log_segment(tag_start) {
+                if let Some(seg) = self.take_log_segment(tag_start)? {
                     items.push(StreamItem::Log(seg));
                 }
-                self.advance(end - tag_start);
+                self.advance(end - tag_start)?;
                 self.state = StreamState::Done;
                 if items.is_empty() {
                     Ok(Attempt::Finished)
@@ -330,15 +345,13 @@ impl<R: Read> StreamScanner<R> {
 
     /// Lifts the pending log-level range `[consumed, consumed + rel)` out
     /// of the window (committing it) unless it is pure inter-element
-    /// whitespace — the same filter [`scan_document`] applies.
-    ///
-    /// [`scan_document`]: crate::xes::scan::scan_document
-    fn take_log_segment(&mut self, rel: usize) -> Option<OwnedSegment> {
+    /// whitespace.
+    fn take_log_segment(&mut self, rel: usize) -> Result<Option<OwnedSegment>> {
         let range = &self.buf[self.consumed..self.consumed + rel];
         let keep = range.iter().any(|b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n'));
         let seg = keep.then(|| OwnedSegment { bytes: range.to_vec(), line: self.nl_before + 1 });
-        self.advance(rel);
-        seg
+        self.advance(rel)?;
+        Ok(seg)
     }
 }
 
@@ -347,30 +360,72 @@ fn count_newlines(bytes: &[u8]) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::xes::scan::{scan_document, Segment};
+    use crate::xes::scan::oracle::{scan_document, Segment};
+    use std::io;
+
+    /// A read fault [`Dribble`] injects on top of its short reads.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) enum Fault {
+        None,
+        /// Every other `read` call fails with `ErrorKind::Interrupted`
+        /// (the first one included) and delivers nothing.
+        InterruptEveryOther,
+        /// Bytes before offset `k` arrive; every read from offset `k` on
+        /// fails with a non-retryable `io::Error`.
+        ErrorAt(usize),
+    }
 
     /// Reader that feeds at most `chunk` bytes per `read` call, to stress
-    /// window-edge handling independently of the refill size.
-    struct Dribble<'a> {
+    /// window-edge handling independently of the refill size, and injects
+    /// `fault`.
+    pub(crate) struct Dribble<'a> {
         data: &'a [u8],
         pos: usize,
         chunk: usize,
+        fault: Fault,
+        calls: usize,
+    }
+
+    impl<'a> Dribble<'a> {
+        pub(crate) fn new(data: &'a [u8], chunk: usize, fault: Fault) -> Self {
+            Dribble { data, pos: 0, chunk: chunk.max(1), fault, calls: 0 }
+        }
     }
 
     impl Read for Dribble<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.chunk).min(self.data.len() - self.pos);
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut end = self.data.len();
+            match self.fault {
+                Fault::None => {}
+                Fault::InterruptEveryOther => {
+                    if self.calls % 2 == 1 {
+                        return Err(io::ErrorKind::Interrupted.into());
+                    }
+                }
+                Fault::ErrorAt(k) => {
+                    if self.pos >= k {
+                        return Err(io::Error::other("injected read fault"));
+                    }
+                    end = end.min(k);
+                }
+            }
+            let n = buf.len().min(self.chunk).min(end - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
         }
     }
 
-    fn drain(doc: &str, read_chunk: usize, dribble: usize) -> Result<Vec<StreamItem>> {
-        let source = Dribble { data: doc.as_bytes(), pos: 0, chunk: dribble.max(1) };
-        let mut scanner = StreamScanner::new(source, read_chunk);
+    fn drain_with(
+        doc: &[u8],
+        read_chunk: usize,
+        dribble: usize,
+        fault: Fault,
+    ) -> Result<Vec<StreamItem>> {
+        let mut scanner = StreamScanner::new(Dribble::new(doc, dribble, fault), read_chunk);
         let mut items = Vec::new();
         while let Some(item) = scanner.next_item()? {
             items.push(item);
@@ -378,11 +433,13 @@ mod tests {
         Ok(items)
     }
 
+    fn drain(doc: &str, read_chunk: usize, dribble: usize) -> Result<Vec<StreamItem>> {
+        drain_with(doc.as_bytes(), read_chunk, dribble, Fault::None)
+    }
+
     /// The in-memory scan re-expressed as owned segments, for comparison.
     fn oracle(doc: &str) -> Result<Vec<StreamItem>> {
-        let scanned = scan_document(doc.as_bytes())?;
-        Ok(scanned
-            .segments
+        Ok(scan_document(doc.as_bytes())?
             .into_iter()
             .map(|seg| match seg {
                 Segment::Log(r) => StreamItem::Log(OwnedSegment {
@@ -408,6 +465,8 @@ mod tests {
         "<!DOCTYPE log [ <!ENTITY l \"x > <log><trace/></log>\"> ]>\n<log><trace><event/></trace></log>",
         "<log><string key=\"gecco:classattr\" value=\"A\">\
          <string key=\"s\" value=\"x\"/></string><trace/></log>",
+        // Multi-byte characters that small windows and reads split.
+        "<log>\n<string key=\"ü\" value=\"é\"/><trace><event a=\"café ✓ 𝄞\"/></trace></log>",
     ];
 
     #[test]
@@ -461,7 +520,7 @@ mod tests {
             doc.push_str(&format!("<trace><event a=\"{i:020}\"/></trace>"));
         }
         doc.push_str("</log>");
-        let source = Dribble { data: doc.as_bytes(), pos: 0, chunk: 16 };
+        let source = Dribble::new(doc.as_bytes(), 16, Fault::None);
         let mut scanner = StreamScanner::new(source, 64);
         let mut max_window = 0usize;
         let mut traces = 0usize;
@@ -473,5 +532,35 @@ mod tests {
         }
         assert_eq!(traces, 200);
         assert!(max_window < 512, "window grew to {max_window} bytes");
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        for doc in DOCS {
+            let one_window = drain(doc, doc.len(), usize::MAX).unwrap();
+            for read_chunk in [1, 7, 4096] {
+                for dribble in [1, 3, usize::MAX] {
+                    let got =
+                        drain_with(doc.as_bytes(), read_chunk, dribble, Fault::InterruptEveryOther)
+                            .unwrap();
+                    assert_eq!(got, one_window, "doc {doc:?} chunk {read_chunk} dribble {dribble}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_error_aborts_the_scan() {
+        for doc in DOCS {
+            // Every byte up to the closing `>` of the root is needed.
+            let needed = doc.rfind('>').unwrap() + 1;
+            for k in 0..needed {
+                for read_chunk in [1, 7, 4096] {
+                    let err = drain_with(doc.as_bytes(), read_chunk, 3, Fault::ErrorAt(k))
+                        .expect_err("a read error must surface");
+                    assert!(matches!(err, Error::Io(_)), "doc {doc:?} byte {k}: {err}");
+                }
+            }
+        }
     }
 }

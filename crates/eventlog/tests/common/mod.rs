@@ -109,8 +109,8 @@ pub fn xes_log_spec() -> impl Strategy<Value = LogSpec> {
         })
 }
 
-/// A larger XES spec that guarantees enough traces to cross the parallel
-/// fan-out threshold of the chunked reader.
+/// A larger XES spec with enough traces to spread over several parallel
+/// batches at a small `batch_traces`.
 pub fn xes_log_spec_large() -> impl Strategy<Value = LogSpec> {
     (Just(()), vec(vec(xes_event(), 0..5), 20..40)).prop_map(|((), traces)| LogSpec {
         log_attrs: Vec::new(),

@@ -12,7 +12,7 @@ mod common;
 use common::{
     assert_logs_identical, build_log, csv_log_spec_large, xes_log_spec, xes_log_spec_large,
 };
-use gecco_eventlog::{csv, set_parallel, xes, EventLog, LogBuilder};
+use gecco_eventlog::{csv, set_parallel, xes, EventLog, IngestOptions, LogBuilder};
 use proptest::prelude::*;
 
 fn force_threads() {
@@ -35,6 +35,20 @@ fn both<T>(f: impl Fn() -> T) -> (T, T) {
     (serial, parallel)
 }
 
+/// Batches small enough that even a 20-trace document spreads over every
+/// worker (`parse_str` batches 512 traces at a time).
+fn small_batches() -> IngestOptions {
+    IngestOptions { batch_traces: 3, ..IngestOptions::default() }
+}
+
+/// Asserts that serial and parallel `parse_reader` at [`small_batches`]
+/// both reproduce `expect`.
+fn assert_small_batches_match(doc: &str, expect: &EventLog) {
+    let (serial, parallel) = both(|| xes::parse_reader(doc.as_bytes(), &small_batches()).unwrap());
+    assert_logs_identical(expect, &serial);
+    assert_logs_identical(expect, &parallel);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -50,6 +64,7 @@ proptest! {
         let doc = xes::write_string(&build_log(&spec));
         let (serial, parallel) = both(|| xes::parse_str(&doc).unwrap());
         assert_logs_identical(&serial, &parallel);
+        assert_small_batches_match(&doc, &serial);
     }
 
     #[test]
@@ -100,6 +115,7 @@ fn xes_interleaved_log_segments_parallel_matches_serial() {
     doc.push_str("</log>");
     let (serial, parallel) = both(|| xes::parse_str(&doc).unwrap());
     assert_logs_identical(&serial, &parallel);
+    assert_small_batches_match(&doc, &serial);
     assert_eq!(serial.traces().len(), 120);
     assert_eq!(serial.attributes().len(), 18);
 }
@@ -109,6 +125,7 @@ fn xes_big_log_parallel_matches_serial() {
     let doc = xes::write_string(&big_log());
     let (serial, parallel) = both(|| xes::parse_str(&doc).unwrap());
     assert_logs_identical(&serial, &parallel);
+    assert_small_batches_match(&doc, &serial);
     assert_eq!(serial.traces().len(), 600);
 }
 

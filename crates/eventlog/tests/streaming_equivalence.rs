@@ -75,7 +75,7 @@ proptest! {
         let doc = xes::write_string(&build_log(&spec));
         // A 7-byte read chunk forces the incremental scanner through its
         // refill/rescan path on essentially every construct.
-        let options = IngestOptions { batch_traces: 3, read_chunk: 7, ..IngestOptions::default() };
+        let options = IngestOptions { batch_traces: 3, read_chunk: 7 };
         assert_routes_identical(&doc, "tiny", &options);
     }
 }
@@ -117,8 +117,7 @@ fn batch_and_worker_grid_is_bit_identical() {
             set_parallel(parallel);
             for batch_traces in [1, 16, 64, 1000] {
                 for read_chunk in [64, 64 * 1024] {
-                    let options =
-                        IngestOptions { batch_traces, read_chunk, ..IngestOptions::default() };
+                    let options = IngestOptions { batch_traces, read_chunk };
                     let (log, index) = via_store(&doc, "grid", &options);
                     assert_logs_identical(&expect, &log);
                     assert_eq!(expect_index, index, "batch {batch_traces} chunk {read_chunk}");
@@ -161,4 +160,47 @@ fn streaming_errors_match_in_memory_errors() {
     let got = ingest_to_store(doc.as_bytes(), &dir, &options).unwrap_err().to_string();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(expect, got);
+}
+
+/// A Latin-1 byte fails with the same positioned error on every route —
+/// `parse_file`, `parse_reader` and `ingest_to_store`, at any read chunk,
+/// serially and in parallel — instead of importing as U+FFFD. (`parse_str`
+/// takes a `&str`, which cannot hold such bytes.)
+#[test]
+fn invalid_utf8_fails_identically_on_every_route() {
+    let trace = |class: &str| {
+        format!("<trace><event><string key=\"concept:name\" value=\"{class}\"/></event></trace>\n")
+    };
+    let mut doc = b"<log>\n".to_vec();
+    for i in 0..50 {
+        doc.extend(trace(&format!("a{i}")).bytes());
+    }
+    // Line 52: `café` in Latin-1.
+    doc.extend(b"<trace><event><string key=\"concept:name\" value=\"caf\xE9\"/></event></trace>\n");
+    for i in 0..50 {
+        doc.extend(trace(&format!("b{i}")).bytes());
+    }
+    doc.extend(b"</log>");
+    let expect = "XML error at line 52: file is not valid UTF-8";
+
+    let path = store_dir("latin1").with_extension("xes");
+    std::fs::write(&path, &doc).unwrap();
+    let _guard = TOGGLE_LOCK.lock().unwrap();
+    std::env::set_var("RAYON_NUM_THREADS", "4");
+    for parallel in [false, true] {
+        set_parallel(parallel);
+        let got = xes::parse_file(&path).unwrap_err().to_string();
+        assert_eq!(got, expect, "parse_file, parallel {parallel}");
+        for read_chunk in [1, 7, IngestOptions::default().read_chunk] {
+            let options = IngestOptions { batch_traces: 4, read_chunk };
+            let got = xes::parse_reader(&doc[..], &options).unwrap_err().to_string();
+            assert_eq!(got, expect, "parse_reader, chunk {read_chunk}, parallel {parallel}");
+            let dir = store_dir("latin1");
+            let got = ingest_to_store(&doc[..], &dir, &options).unwrap_err().to_string();
+            std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(got, expect, "ingest_to_store, chunk {read_chunk}, parallel {parallel}");
+        }
+    }
+    set_parallel(true);
+    std::fs::remove_file(&path).ok();
 }
